@@ -12,16 +12,7 @@ import json
 import os
 import sys
 
-from .errors import (
-    DetcsError,
-    InequalityViolation,
-    MatrixParseError,
-    NotHermitian,
-    NotPositiveDefinite,
-    OracleError,
-    RankDeficient,
-    WrongRegime,
-)
+from .errors import DetcsError, InequalityViolation, OracleError
 from .fuzz import ENSEMBLES, FuzzConfig, FuzzSummary, run_fuzz
 from .inequality import (
     CLAUSE_TEXT,
@@ -43,8 +34,10 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _load_weight(path):
-    return cholesky_hpd(load_matrix(path))
+def _load_operands(args):
+    """(A, B, factored M or None) from the --a/--b/--m files."""
+    a, b = load_matrix(args.a), load_matrix(args.b)
+    return a, b, cholesky_hpd(load_matrix(args.m)) if args.m else None
 
 
 def _check_gram_dets(a, b, m_fac) -> None:
@@ -69,15 +62,16 @@ def _check_gram_dets(a, b, m_fac) -> None:
             )
 
 
-def _check_correlation(a, b, m_fac, correlation: float) -> None:
-    """Cross-check |det(Qa*Qb)| against the product of Jacobi principal-angle
-    cosines."""
+def _thin_bases(a, b, m_fac):
+    """Thin-QR bases of the (whitened) operands."""
     if m_fac is not None:
         a, b = whitened_pair(a, b, m_fac)
-    qa = SubspaceBasis(qr_thin(a).q)
-    qb = SubspaceBasis(qr_thin(b).q)
-    angles = principal_angle_cosines(qa, qb)
-    product = angles.correlation()
+    return SubspaceBasis(qr_thin(a).q), SubspaceBasis(qr_thin(b).q)
+
+
+def _check_cosine_product(product: float, correlation: float) -> None:
+    """Cross-check |det(Qa*Qb)| against the product of Jacobi principal-angle
+    cosines."""
     if abs(product - correlation) > 1e-9:
         raise OracleError(
             f"cosine product {product!r} disagrees with correlation {correlation!r}"
@@ -85,15 +79,14 @@ def _check_correlation(a, b, m_fac, correlation: float) -> None:
 
 
 def cmd_verify(args) -> int:
-    a = load_matrix(args.a)
-    b = load_matrix(args.b)
-    m_fac = _load_weight(args.m) if args.m else None
+    a, b, m_fac = _load_operands(args)
     report = verify_inequality(a, b, m_fac, tol=args.tol)
     enforce_equality_contract(report)
     if args.check:
         _check_gram_dets(a, b, m_fac)
         if report.correlation is not None:
-            _check_correlation(a, b, m_fac, report.correlation)
+            angles = principal_angle_cosines(*_thin_bases(a, b, m_fac))
+            _check_cosine_product(angles.correlation(), report.correlation)
     if args.json:
         print(json.dumps(_report_record(report), sort_keys=True))
         return 0
@@ -136,13 +129,9 @@ def _report_record(report) -> dict:
 
 
 def cmd_correlate(args) -> int:
-    a = load_matrix(args.a)
-    b = load_matrix(args.b)
-    m_fac = _load_weight(args.m) if args.m else None
+    a, b, m_fac = _load_operands(args)
     correlation = det_correlation(a, b, m_fac)
-    work_a, work_b = (a, b) if m_fac is None else whitened_pair(a, b, m_fac)
-    qa = SubspaceBasis(qr_thin(work_a).q)
-    qb = SubspaceBasis(qr_thin(work_b).q)
+    qa, qb = _thin_bases(a, b, m_fac)
     profile = column_norm_profile(qa, qb)
     print(f"correlation: {_fmt(correlation)}")
     print("column norms: " + " ".join(_fmt(x) for x in profile))
@@ -151,17 +140,12 @@ def cmd_correlate(args) -> int:
         print("oracle cosines: " + " ".join(_fmt(c) for c in angles.cosines))
         product = angles.correlation()
         print(f"oracle product: {_fmt(product)}")
-        if abs(product - correlation) > 1e-9:
-            raise OracleError(
-                f"cosine product {product!r} disagrees with correlation {correlation!r}"
-            )
+        _check_cosine_product(product, correlation)
     return 0
 
 
 def cmd_classify(args) -> int:
-    a = load_matrix(args.a)
-    b = load_matrix(args.b)
-    m_fac = _load_weight(args.m) if args.m else None
+    a, b, m_fac = _load_operands(args)
     tag = classify_case(a, b, m_fac, tol=args.subspace_tol)
     print(tag.value)
     print(f"clause: {CLAUSE_TEXT[tag]}")
@@ -227,6 +211,12 @@ def _write_replays(summary: FuzzSummary) -> None:
         print(f"replay: {cmd}")
 
 
+def _add_operands(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--a", required=True, help="path to the A matrix file")
+    parser.add_argument("--b", required=True, help="path to the B matrix file")
+    parser.add_argument("--m", help="path to the hermitian positive definite weight M")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="detcs",
@@ -238,9 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="verify the inequality for one (A, B, M) instance")
-    p_verify.add_argument("--a", required=True, help="path to the A matrix file")
-    p_verify.add_argument("--b", required=True, help="path to the B matrix file")
-    p_verify.add_argument("--m", help="path to the hermitian positive definite weight M")
+    _add_operands(p_verify)
     p_verify.add_argument("--tol", type=float, default=1e-9, help="relative equality tolerance")
     p_verify.add_argument("--json", action="store_true", help="emit a single-line JSON record")
     p_verify.add_argument(
@@ -251,18 +239,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_corr = sub.add_parser(
         "correlate", help="determinantal correlation |det(Qa*Qb)| and column norms"
     )
-    p_corr.add_argument("--a", required=True, help="path to the A matrix file")
-    p_corr.add_argument("--b", required=True, help="path to the B matrix file")
-    p_corr.add_argument("--m", help="path to the hermitian positive definite weight M")
+    _add_operands(p_corr)
     p_corr.add_argument(
         "--check", action="store_true", help="also run oracle cross-checks (size-guarded)"
     )
     p_corr.set_defaults(func=cmd_correlate)
 
     p_cls = sub.add_parser("classify", help="name the equality/strictness regime of (A, B, M)")
-    p_cls.add_argument("--a", required=True, help="path to the A matrix file")
-    p_cls.add_argument("--b", required=True, help="path to the B matrix file")
-    p_cls.add_argument("--m", help="path to the hermitian positive definite weight M")
+    _add_operands(p_cls)
     p_cls.add_argument(
         "--subspace-tol", type=float, default=1e-8, help="span-equality tolerance on cosines"
     )
@@ -292,16 +276,7 @@ def run(argv=None) -> int:
     except (InequalityViolation, OracleError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
-    except (
-        MatrixParseError,
-        NotHermitian,
-        NotPositiveDefinite,
-        RankDeficient,
-        WrongRegime,
-        DetcsError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (DetcsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

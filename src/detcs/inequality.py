@@ -10,8 +10,9 @@ Five mutually exclusive regimes decide equality versus strictness:
 * m > n, full rank, distinct spans: strict inequality, and the defect is
   exactly one minus the squared determinantal correlation |det(Qa*Qb)|^2.
 
-Wide and rank-deficient regimes are flagged zero structurally (by shape and
-rank), never by testing a computed determinant against noise.
+Wide instances and instances with a rank-deficient operand (square ones
+included) are flagged zero structurally, by shape and rank, never by testing
+a computed determinant against noise.
 """
 
 from __future__ import annotations
@@ -22,18 +23,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InequalityViolation, WrongRegime
+from .errors import InequalityViolation, RankDeficient, WrongRegime
 from .linalg import (
     RANK_TOL,
+    ColumnFactors,
     HpdFactor,
     SignedLogDet,
     SubspaceBasis,
     as_matrix,
     conj_transpose,
-    estimate_rank,
+    factor_columns,
     log_det,
     matmul,
-    qr_thin,
 )
 from .oracles import hermitian_eigenvalues
 
@@ -96,12 +97,18 @@ class CsReport:
     tol_used: float
 
 
-def gram(a, b, m_fac: HpdFactor | None = None) -> np.ndarray:
-    """A*MB, computed as (WA)*(WB) when a weight is given, A*B otherwise."""
+def _same_shape(a, b):
+    """Both operands as complex matrices, which must share one shape."""
     a = as_matrix(a)
     b = as_matrix(b)
     if a.shape != b.shape:
         raise ValueError(f"a and b must share a shape, got {a.shape} and {b.shape}")
+    return a, b
+
+
+def gram(a, b, m_fac: HpdFactor | None = None) -> np.ndarray:
+    """A*MB, computed as (WA)*(WB) when a weight is given, A*B otherwise."""
+    a, b = _same_shape(a, b)
     if m_fac is None:
         return matmul(conj_transpose(a), b)
     wa, wb = whitened_pair(a, b, m_fac)
@@ -111,10 +118,7 @@ def gram(a, b, m_fac: HpdFactor | None = None) -> np.ndarray:
 def whitened_pair(a, b, m_fac: HpdFactor):
     """(WA, WB) for the weight's factor W; Gram products under M of the
     originals equal unweighted Gram products of the pair."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"a and b must share a shape, got {a.shape} and {b.shape}")
+    a, b = _same_shape(a, b)
     w = m_fac.w_factor
     if w.shape[1] != a.shape[0]:
         raise ValueError(
@@ -123,27 +127,42 @@ def whitened_pair(a, b, m_fac: HpdFactor):
     return matmul(w, a), matmul(w, b)
 
 
-def det_correlation(a, b, m_fac: HpdFactor | None = None) -> float:
-    """|det(Qa*Qb)| for thin-QR bases of the (whitened) inputs, in [0, 1].
+def _factor_pair(a: np.ndarray, b: np.ndarray):
+    """One pivoted QR per (whitened) operand, and Qa*Qb when both have full
+    column rank (None otherwise).  The singular values of Qa*Qb are the
+    principal-angle cosines whichever bases the QRs chose."""
+    fa = factor_columns(a)
+    fb = factor_columns(b)
+    if min(fa.rank, fb.rank) < a.shape[1]:
+        return fa, fb, None
+    return fa, fb, matmul(conj_transpose(fa.q), fb.q)
 
-    This is the product of the cosines of the principal angles between the
-    two column spaces: 1 exactly when the spans coincide, 0 when some
-    direction of one span is orthogonal to all of the other.  The raw value
-    is checked against 1 before clamping, so a value past 1 + 1e-10 raises
-    instead of being silently pulled back.
-    """
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"a and b must share a shape, got {a.shape} and {b.shape}")
-    m, n = a.shape
-    if m <= n:
-        raise WrongRegime(f"correlation is defined only for m > n, got {m} x {n}")
-    if m_fac is not None:
-        a, b = whitened_pair(a, b, m_fac)
-    qa = qr_thin(a).q
-    qb = qr_thin(b).q
-    raw = log_det(matmul(conj_transpose(qa), qb)).magnitude()
+
+def _full_rank_overlap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Qa*Qb for a pair that must have full column rank."""
+    fa, fb, overlap = _factor_pair(a, b)
+    if overlap is None:
+        raise RankDeficient(
+            f"columns are linearly dependent within tolerance {RANK_TOL:g}",
+            estimated_rank=min(fa.rank, fb.rank),
+        )
+    return overlap
+
+
+def _spans_match(overlap: np.ndarray, tol: float) -> bool:
+    """Every singular value of Qa*Qb is at least 1 - tol, from Jacobi
+    eigenvalues of (Qa*Qb)*(Qa*Qb)."""
+    if not tol > 0.0:
+        raise ValueError("subspace tolerance must be positive")
+    eigs = hermitian_eigenvalues(matmul(conj_transpose(overlap), overlap))
+    smallest_sq = eigs[0]
+    smallest = math.sqrt(smallest_sq) if smallest_sq > 0.0 else 0.0
+    return smallest >= 1.0 - tol
+
+
+def _correlation(overlap: np.ndarray) -> float:
+    """|det(Qa*Qb)|, checked against 1 before clamping."""
+    raw = log_det(overlap).magnitude()
     if raw > 1.0 + CORRELATION_SLACK:
         raise InequalityViolation(
             f"|det(Qa*Qb)| = {raw!r} exceeds 1 + {CORRELATION_SLACK:g}"
@@ -151,29 +170,44 @@ def det_correlation(a, b, m_fac: HpdFactor | None = None) -> float:
     return raw if raw < 1.0 else 1.0
 
 
-def hadamard_bound(h):
-    """(product of column norms, |det|) for a square matrix.
+def _gram_log_det(f: ColumnFactors) -> SignedLogDet:
+    """det(X*X) = |det R|^2 for a full-column-rank X = QR."""
+    return SignedLogDet(1.0 + 0j, 2.0 * sum(math.log(d) for d in f.diag), False)
 
-    The determinant magnitude can never exceed the column-norm product; a
-    numerical excess past the 1e-10 slack raises.
+
+def _regime(a: np.ndarray, b: np.ndarray, subspace_tol: float):
+    """The regime of a (whitened) pair, with the ``_factor_pair`` it was read
+    from (all None for wide pairs, which shape alone settles)."""
+    m, n = a.shape
+    if m < n:
+        return CaseTag.WIDE_EQUAL_ZERO, (None, None, None)
+    factors = _factor_pair(a, b)
+    _, _, overlap = factors
+    if m == n:
+        return CaseTag.SQUARE_EQUAL, factors
+    if overlap is None:
+        return CaseTag.RANK_DEFICIENT_ZERO, factors
+    if _spans_match(overlap, subspace_tol):
+        return CaseTag.FULL_RANK_SAME_SPAN, factors
+    return CaseTag.FULL_RANK_STRICT, factors
+
+
+def det_correlation(a, b, m_fac: HpdFactor | None = None) -> float:
+    """|det(Qa*Qb)| for orthonormal bases of the (whitened) inputs, in [0, 1].
+
+    This is the product of the cosines of the principal angles between the
+    two column spaces: 1 exactly when the spans coincide, 0 when some
+    direction of one span is orthogonal to all of the other.  The raw value
+    is checked against 1 before clamping, so a value past 1 + 1e-10 raises
+    instead of being silently pulled back.
     """
-    mat = as_matrix(h)
-    n, cols = mat.shape
-    if n != cols:
-        raise ValueError(f"bound requires a square matrix, got {mat.shape}")
-    log_bound = 0.0
-    for j in range(n):
-        norm = math.sqrt(float((np.abs(mat[:, j]) ** 2).sum()))
-        log_bound = float("-inf") if norm == 0.0 else log_bound + math.log(norm)
-    d = log_det(mat)
-    det_mag = d.magnitude()
-    log_mag = float("-inf") if d.zero else d.log_magnitude
-    if log_mag > log_bound + math.log1p(1e-10):
-        raise InequalityViolation(
-            f"|det| = {det_mag!r} exceeds the column-norm product exp({log_bound!r})"
-        )
-    bound = 0.0 if log_bound == float("-inf") else math.exp(log_bound)
-    return bound, det_mag
+    a, b = _same_shape(a, b)
+    m, n = a.shape
+    if m <= n:
+        raise WrongRegime(f"correlation is defined only for m > n, got {m} x {n}")
+    if m_fac is not None:
+        a, b = whitened_pair(a, b, m_fac)
+    return _correlation(_full_rank_overlap(a, b))
 
 
 def column_norm_profile(u: SubspaceBasis, v: SubspaceBasis) -> list[float]:
@@ -206,44 +240,22 @@ def subspace_equal(a, b, tol: float = SUBSPACE_TOL) -> bool:
     largest principal angle between the spans has cosine within tol of 1.
     The singular values come from Jacobi eigenvalues of (Qa*Qb)*(Qa*Qb).
     """
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"a and b must share a shape, got {a.shape} and {b.shape}")
+    a, b = _same_shape(a, b)
     if a.shape[0] < a.shape[1]:
         raise WrongRegime(f"span comparison needs m >= n, got {a.shape[0]} x {a.shape[1]}")
-    if not tol > 0.0:
-        raise ValueError("subspace tolerance must be positive")
-    qa = qr_thin(a).q
-    qb = qr_thin(b).q
-    p = matmul(conj_transpose(qa), qb)
-    eigs = hermitian_eigenvalues(matmul(conj_transpose(p), p))
-    smallest_sq = eigs[0]
-    smallest = math.sqrt(smallest_sq) if smallest_sq > 0.0 else 0.0
-    return smallest >= 1.0 - tol
+    return _spans_match(_full_rank_overlap(a, b), tol)
 
 
 def classify_case(a, b, m_fac: HpdFactor | None = None, tol: float = SUBSPACE_TOL) -> CaseTag:
     """Decide the regime of an (A, B, M) instance.
 
-    Shape settles the wide and square regimes outright; for tall instances
-    the (whitened) pair is rank-tested, then span-compared.
+    Shape settles the wide and square regimes; for tall instances the
+    (whitened) pair is factored once, rank-tested, then span-compared.
     """
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"a and b must share a shape, got {a.shape} and {b.shape}")
-    m, n = a.shape
-    if m < n:
-        return CaseTag.WIDE_EQUAL_ZERO
-    if m == n:
-        return CaseTag.SQUARE_EQUAL
-    work_a, work_b = (a, b) if m_fac is None else whitened_pair(a, b, m_fac)
-    if estimate_rank(work_a, RANK_TOL) < n or estimate_rank(work_b, RANK_TOL) < n:
-        return CaseTag.RANK_DEFICIENT_ZERO
-    if subspace_equal(work_a, work_b, tol):
-        return CaseTag.FULL_RANK_SAME_SPAN
-    return CaseTag.FULL_RANK_STRICT
+    a, b = _same_shape(a, b)
+    if m_fac is not None:
+        a, b = whitened_pair(a, b, m_fac)
+    return _regime(a, b, tol)[0]
 
 
 def verify_inequality(
@@ -255,47 +267,38 @@ def verify_inequality(
 ) -> CsReport:
     """Compute both sides of the inequality in log domain and certify the bound.
 
-    Raises InequalityViolation if the left side exceeds the right beyond
-    log(1 + tol): the bound holds for every input, so a breach means a
-    kernel bug, not a counterexample.
+    The right side comes from the diagonals of each operand's pivoted QR,
+    the left side from LU of A*B: two independent routes, so A*A and B*B are
+    never formed.  Raises InequalityViolation if the left side exceeds the
+    right beyond log(1 + tol): the bound holds for every input, so a breach
+    means a kernel bug, not a counterexample.
     """
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"a and b must share a shape, got {a.shape} and {b.shape}")
+    a, b = _same_shape(a, b)
     if not tol > 0.0:
         raise ValueError("tolerance must be positive")
-    work_a, work_b = (a, b) if m_fac is None else whitened_pair(a, b, m_fac)
-    tag = classify_case(work_a, work_b, None, subspace_tol)
+    if m_fac is not None:
+        a, b = whitened_pair(a, b, m_fac)
+    tag, (fa, fb, overlap) = _regime(a, b, subspace_tol)
     correlation = None
-    if tag in (CaseTag.WIDE_EQUAL_ZERO, CaseTag.RANK_DEFICIENT_ZERO):
-        # both sides vanish by rank arithmetic; no determinant is evaluated
-        lhs = SignedLogDet.of_zero()
-        rhs = SignedLogDet.of_zero()
+    if overlap is None:
+        # wide, or an operand short of full column rank: both sides vanish
+        # by rank arithmetic, and no determinant is evaluated
+        lhs = rhs = SignedLogDet.of_zero()
     else:
-        lhs = log_det(matmul(conj_transpose(work_a), work_b)).abs_squared()
-        rhs = log_det(matmul(conj_transpose(work_a), work_a)) * log_det(
-            matmul(conj_transpose(work_b), work_b)
-        )
-        if tag in (CaseTag.FULL_RANK_SAME_SPAN, CaseTag.FULL_RANK_STRICT):
-            correlation = det_correlation(work_a, work_b)
-    if not lhs.zero:
-        if rhs.zero:
-            raise InequalityViolation(
-                "left side is nonzero while the right side vanishes"
-            )
+        lhs = log_det(matmul(conj_transpose(a), b)).abs_squared()
+        rhs = _gram_log_det(fa) * _gram_log_det(fb)
+        if tag is not CaseTag.SQUARE_EQUAL:
+            correlation = _correlation(overlap)
+    if lhs.zero:
+        relative_gap = 0.0 if rhs.zero else 1.0
+    else:
         slack = lhs.log_magnitude - rhs.log_magnitude
         if slack > math.log1p(tol):
             raise InequalityViolation(
                 f"log slack {slack!r} exceeds log(1 + {tol:g}): "
                 f"lhs log {lhs.log_magnitude!r}, rhs log {rhs.log_magnitude!r}"
             )
-    if lhs.zero and rhs.zero:
-        relative_gap = 0.0
-    elif lhs.zero:
-        relative_gap = 1.0
-    else:
-        relative_gap = max(0.0, -math.expm1(lhs.log_magnitude - rhs.log_magnitude))
+        relative_gap = max(0.0, -math.expm1(slack))
     return CsReport(
         case_tag=tag,
         lhs_log=lhs,

@@ -1,4 +1,4 @@
-"""Dense complex matrix kernels: products, thin QR, Cholesky, log-domain determinants.
+"""Dense complex matrix kernels: products, Householder QR, Cholesky, log-domain determinants.
 
 Everything here is a pure function of its inputs.  Matrices are numpy
 ``complex128`` arrays in row-major order; factorization loops run column by
@@ -134,6 +134,17 @@ class QRFactors:
     r: np.ndarray
 
 
+@dataclass(frozen=True, eq=False)
+class ColumnFactors:
+    """Column-pivoted QR of an m x n matrix, kept to what a verdict reads:
+    an orthonormal m x min(m, n) basis ``q`` whose leading ``rank`` columns
+    span the numerical column space, and |diag R| in pivot order."""
+
+    q: np.ndarray
+    diag: np.ndarray
+    rank: int
+
+
 def _reflector(x: np.ndarray):
     """Householder vector and scaling that annihilate x below its head."""
     norm_x = math.sqrt(float((np.abs(x) ** 2).sum()))
@@ -147,23 +158,27 @@ def _reflector(x: np.ndarray):
     return v, beta, -ph * norm_x
 
 
-def qr_thin(a: np.ndarray, rank_tol: float = RANK_TOL) -> QRFactors:
-    """Thin Householder QR of a tall (m >= n) full-column-rank matrix.
+def _householder(a: np.ndarray, pivot: bool):
+    """Householder QR of a copy of ``a``: (Q, R) with Q of size m x min(m, n).
 
-    The raw factorization leaves arbitrary phases on diag(R); a final pass
-    moves them into Q so diag(R) is real and strictly positive, which makes
-    the factor pair unique.  Columns dependent to within ``rank_tol`` raise
-    ``RankDeficient`` carrying the estimated rank.
+    With ``pivot`` each step first swaps in the remaining column of largest
+    trailing norm (so |diag R| never increases), and elimination stops once
+    the trailing block is zero.
     """
     m, n = a.shape
-    if m < n:
-        raise ValueError(f"thin QR requires m >= n, got {m} x {n}")
     r = np.array(a, dtype=np.complex128, copy=True)
-    col_scale = max(math.sqrt(float((np.abs(r[:, j]) ** 2).sum())) for j in range(n))
     reflectors = []
-    for k in range(n):
+    for k in range(min(m, n)):
+        if pivot:
+            trailing = np.sqrt((np.abs(r[k:, k:]) ** 2).sum(axis=0))
+            j = k + int(np.argmax(trailing))
+            if trailing[j - k] == 0.0:
+                r[k:, k:] = 0.0  # its entries may be too small to square, not zero
+                break
+            if j != k:
+                r[:, [k, j]] = r[:, [j, k]]
         v, beta, head = _reflector(r[k:, k].copy())
-        reflectors.append((v, beta))
+        reflectors.append((k, v, beta))
         if v is None:
             continue
         if k + 1 < n:
@@ -171,20 +186,51 @@ def qr_thin(a: np.ndarray, rank_tol: float = RANK_TOL) -> QRFactors:
             r[k:, k + 1 :] -= np.outer(v, w)
         r[k, k] = head
         r[k + 1 :, k] = 0.0
-    deficient = any(
-        reflectors[k][0] is None or abs(r[k, k]) <= rank_tol * col_scale for k in range(n)
-    )
-    if deficient:
+    q = np.eye(m, min(m, n), dtype=np.complex128)
+    for k, v, beta in reversed(reflectors):
+        if v is not None:
+            w = beta * (v.conj() @ q[k:, :])
+            q[k:, :] -= np.outer(v, w)
+    return q, r
+
+
+def factor_columns(a: np.ndarray, tol: float = RANK_TOL) -> ColumnFactors:
+    """Column-pivoted Householder QR of any m x n matrix.
+
+    The rank, the span basis and |det R| all come from this one pass: for a
+    full-column-rank tall A, det(A*A) is the product of diag(R) squared.
+    """
+    if tol <= 0.0:
+        raise ValueError("rank tolerance must be positive")
+    q, r = _householder(a, pivot=True)
+    diag = np.abs(np.diagonal(r))
+    return ColumnFactors(q=q, diag=diag, rank=int((diag > tol * diag.max()).sum()))
+
+
+def estimate_rank(a: np.ndarray, tol: float) -> int:
+    """Numerical rank: count of column-pivoted QR diagonals above ``tol``
+    times the largest diagonal.  The zero matrix has rank 0."""
+    return factor_columns(a, tol).rank
+
+
+def qr_thin(a: np.ndarray, rank_tol: float = RANK_TOL) -> QRFactors:
+    """Thin Householder QR of a tall (m >= n) full-column-rank matrix.
+
+    The raw factorization leaves arbitrary phases on diag(R); a final pass
+    moves them into Q so diag(R) is real and strictly positive, which makes
+    the factor pair unique.  A rank below n, decided as in ``estimate_rank``,
+    raises ``RankDeficient`` carrying the estimated rank.
+    """
+    m, n = a.shape
+    if m < n:
+        raise ValueError(f"thin QR requires m >= n, got {m} x {n}")
+    rank = factor_columns(a, rank_tol).rank
+    if rank < n:
         raise RankDeficient(
             f"columns are linearly dependent within tolerance {rank_tol:g}",
-            estimated_rank=estimate_rank(a, rank_tol),
+            estimated_rank=rank,
         )
-    q = np.zeros((m, n), dtype=np.complex128)
-    q[np.arange(n), np.arange(n)] = 1.0
-    for k in reversed(range(n)):
-        v, beta = reflectors[k]
-        w = beta * (v.conj() @ q[k:, :])
-        q[k:, :] -= np.outer(v, w)
+    q, r = _householder(a, pivot=False)
     r = np.ascontiguousarray(r[:n, :])
     # rotate row k of R by the conjugate diagonal phase, column k of Q by the
     # phase itself: QR is unchanged and diag(R) becomes real positive
@@ -236,34 +282,6 @@ def cholesky_hpd(
         if j + 1 < n:
             lower[j + 1 :, j] = (m_mat[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j].conj()) / lower[j, j]
     return HpdFactor(m_matrix=m_mat, w_factor=conj_transpose(lower))
-
-
-def estimate_rank(a: np.ndarray, tol: float) -> int:
-    """Numerical rank: count of column-pivoted QR diagonals above ``tol``
-    times the largest diagonal.  The zero matrix has rank 0."""
-    if tol <= 0.0:
-        raise ValueError("rank tolerance must be positive")
-    m, n = a.shape
-    r = np.array(a, dtype=np.complex128, copy=True)
-    diag_mags = []
-    for k in range(min(m, n)):
-        trailing = np.sqrt((np.abs(r[k:, k:]) ** 2).sum(axis=0))
-        j = k + int(np.argmax(trailing))
-        if trailing[j - k] == 0.0:
-            break
-        if j != k:
-            r[:, [k, j]] = r[:, [j, k]]
-        v, beta, head = _reflector(r[k:, k].copy())
-        if k + 1 < n:
-            w = beta * (v.conj() @ r[k:, k + 1 :])
-            r[k:, k + 1 :] -= np.outer(v, w)
-        r[k, k] = head
-        r[k + 1 :, k] = 0.0
-        diag_mags.append(abs(head))
-    if not diag_mags:
-        return 0
-    largest = max(diag_mags)
-    return sum(1 for d in diag_mags if d > tol * largest)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,6 +1,7 @@
 """Tests for the inequality layer: Gram products, correlation, bounds,
 classification, and the verdict report."""
 
+import collections
 import math
 
 import numpy as np
@@ -20,13 +21,15 @@ from detcs import (
     det_correlation,
     enforce_equality_contract,
     gram,
-    hadamard_bound,
     matmul,
     qr_thin,
+    save_matrix,
     subspace_equal,
     verify_inequality,
     whitened_pair,
 )
+from detcs import inequality, linalg
+from detcs.cli import run
 from detcs.fuzz import complex_normal
 from detcs.oracles import det_cofactor, matmul_naive
 
@@ -164,43 +167,6 @@ def test_det_correlation_regime_and_rank_errors():
     deficient = matmul(complex_normal(rng, 5, 1), complex_normal(rng, 1, 2))
     with pytest.raises(RankDeficient):
         det_correlation(deficient, complex_normal(rng, 5, 2))
-
-
-def test_hadamard_identity():
-    bound, det_mag = hadamard_bound(np.eye(3, dtype=complex))
-    assert bound == 1.0
-    assert det_mag == 1.0
-
-
-def test_hadamard_unitary():
-    rng = np.random.default_rng(48)
-    q = qr_thin(complex_normal(rng, 3, 3)).q
-    bound, det_mag = hadamard_bound(q)
-    assert abs(bound - 1.0) <= 1e-12
-    assert abs(det_mag - 1.0) <= 1e-12
-
-
-def test_hadamard_random_strict_and_matches_cofactor():
-    rng = np.random.default_rng(49)
-    for _ in range(20):
-        h = complex_normal(rng, 4, 4)
-        bound, det_mag = hadamard_bound(h)
-        assert det_mag < bound
-        ref = abs(det_cofactor(h))
-        assert abs(det_mag - ref) <= 1e-10 * ref
-
-
-def test_hadamard_zero_column():
-    h = np.eye(3, dtype=complex)
-    h[:, 1] = 0.0
-    bound, det_mag = hadamard_bound(h)
-    assert bound == 0.0
-    assert det_mag == 0.0
-
-
-def test_hadamard_requires_square():
-    with pytest.raises(ValueError):
-        hadamard_bound(np.zeros((2, 3), dtype=complex))
 
 
 def test_column_norm_profile_identical():
@@ -395,7 +361,7 @@ def test_verify_rejects_bad_tol_and_shape():
 def test_verify_absurd_tolerance_raises_on_positive_roundoff():
     # this pinned square pair leaves lhs a few ulps above rhs, so a tolerance
     # below roundoff must trip the bound assertion
-    rng = np.random.default_rng([0, 0])
+    rng = np.random.default_rng([1, 1])
     a = complex_normal(rng, 4, 4)
     b = complex_normal(rng, 4, 4)
     report = verify_inequality(a, b)
@@ -407,7 +373,7 @@ def test_verify_absurd_tolerance_raises_on_positive_roundoff():
 def test_equality_contract_trips_below_roundoff():
     # pinned square pair with lhs a shade under rhs: the bound holds at any
     # tolerance but the computed gap cannot beat 1e-18
-    rng = np.random.default_rng([1, 1])
+    rng = np.random.default_rng([0, 0])
     a = complex_normal(rng, 4, 4)
     b = complex_normal(rng, 4, 4)
     report = verify_inequality(a, b, tol=1e-18)
@@ -433,3 +399,43 @@ def test_verify_report_log_identity():
     report = verify_inequality(a, b)
     ref = abs(det_cofactor(gram(a, b)))
     assert abs(report.lhs_log.log_magnitude - 2.0 * math.log(ref)) <= 1e-9
+
+
+def test_ill_conditioned_tall_operand_verifies(tmp_path):
+    # sigma_min / sigma_max = 1e-9 squares to 1e-18 in A*A, past the LU pivot
+    # cutoff; the right side must come from R instead.  Both R and the SVD
+    # resolve log sigma_min only to about 1e-16 * 1e9, hence the 1e-9 bound.
+    rng = np.random.default_rng(90)
+    u = np.linalg.qr(complex_normal(rng, 12, 12))[0][:, :6]
+    v = np.linalg.qr(complex_normal(rng, 6, 6))[0]
+    a = (u * np.logspace(0.0, -9.0, 6)) @ v
+    b = complex_normal(rng, 12, 6)
+    report = verify_inequality(a, b)
+    assert report.case_tag is CaseTag.FULL_RANK_STRICT
+    ref = 2.0 * sum(np.log(np.linalg.svd(x, compute_uv=False)).sum() for x in (a, b))
+    assert abs(report.rhs_log.log_magnitude - ref) <= 1e-9 * abs(ref)
+    save_matrix(tmp_path / "a.mat", a)
+    save_matrix(tmp_path / "b.mat", b)
+    assert run(["verify", "--a", str(tmp_path / "a.mat"), "--b", str(tmp_path / "b.mat")]) == 0
+
+
+def test_strict_verdict_factors_each_operand_once(monkeypatch):
+    calls = collections.Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("factor_columns", "matmul", "log_det", "hermitian_eigenvalues", "gram"):
+        count(inequality, name)
+    for name in ("qr_thin", "estimate_rank"):
+        count(linalg, name)
+    rng = np.random.default_rng(8)
+    report = verify_inequality(complex_normal(rng, 8, 4), complex_normal(rng, 8, 4))
+    assert report.case_tag is CaseTag.FULL_RANK_STRICT
+    assert calls == {"factor_columns": 2, "matmul": 3, "log_det": 2, "hermitian_eigenvalues": 1}
