@@ -18,7 +18,6 @@ from .errors import (
 from .fuzz import ENSEMBLES, FuzzConfig, FuzzSummary, run_fuzz
 from .inequality import (
     EQUALITY_TOL,
-    SUBSPACE_TOL,
     CaseTag,
     CsReport,
     classify_case,
@@ -26,7 +25,6 @@ from .inequality import (
     det_correlation,
     enforce_equality_contract,
     gram,
-    subspace_equal,
     verify_inequality,
     whitened_pair,
 )
@@ -38,7 +36,6 @@ from .linalg import (
     as_matrix,
     cholesky_hpd,
     conj_transpose,
-    estimate_rank,
     log_det,
     matmul,
     qr_thin,
@@ -68,7 +65,6 @@ __all__ = [
     "FuzzSummary",
     "run_fuzz",
     "EQUALITY_TOL",
-    "SUBSPACE_TOL",
     "CaseTag",
     "CsReport",
     "classify_case",
@@ -76,7 +72,6 @@ __all__ = [
     "det_correlation",
     "enforce_equality_contract",
     "gram",
-    "subspace_equal",
     "verify_inequality",
     "whitened_pair",
     "HpdFactor",
@@ -86,7 +81,6 @@ __all__ = [
     "as_matrix",
     "cholesky_hpd",
     "conj_transpose",
-    "estimate_rank",
     "log_det",
     "matmul",
     "qr_thin",

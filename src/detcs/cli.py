@@ -248,7 +248,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls = sub.add_parser("classify", help="name the equality/strictness regime of (A, B, M)")
     _add_operands(p_cls)
     p_cls.add_argument(
-        "--subspace-tol", type=float, default=1e-8, help="span-equality tolerance on cosines"
+        "--subspace-tol",
+        type=float,
+        default=1e-9,
+        help="span-equality tolerance: spans match when the sum of squared "
+        "principal sines is at most half of it",
     )
     p_cls.set_defaults(func=cmd_classify)
 

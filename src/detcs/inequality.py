@@ -36,10 +36,8 @@ from .linalg import (
     log_det,
     matmul,
 )
-from .oracles import hermitian_eigenvalues
 
 EQUALITY_TOL = 1e-9       # default relative gap below which equality is accepted
-SUBSPACE_TOL = 1e-8       # default principal-angle-cosine deviation for span equality
 CORRELATION_SLACK = 1e-10  # |det(Qa*Qb)| may exceed 1 by at most this before clamping
 PROFILE_SLACK = 1e-10     # column norms of Qa*Qb may exceed 1 by at most this
 
@@ -138,26 +136,17 @@ def _factor_pair(a: np.ndarray, b: np.ndarray):
     return fa, fb, matmul(conj_transpose(fa.q), fb.q)
 
 
-def _full_rank_overlap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Qa*Qb for a pair that must have full column rank."""
-    fa, fb, overlap = _factor_pair(a, b)
-    if overlap is None:
-        raise RankDeficient(
-            f"columns are linearly dependent within tolerance {RANK_TOL:g}",
-            estimated_rank=min(fa.rank, fb.rank),
-        )
-    return overlap
+def _spans_match(fa: ColumnFactors, fb: ColumnFactors, overlap: np.ndarray, tol: float) -> bool:
+    """The sum of squared principal sines, |Qb - Qa(Qa*Qb)|_F^2, is at most tol / 2.
 
-
-def _spans_match(overlap: np.ndarray, tol: float) -> bool:
-    """Every singular value of Qa*Qb is at least 1 - tol, from Jacobi
-    eigenvalues of (Qa*Qb)*(Qa*Qb)."""
-    if not tol > 0.0:
-        raise ValueError("subspace tolerance must be positive")
-    eigs = hermitian_eigenvalues(matmul(conj_transpose(overlap), overlap))
-    smallest_sq = eigs[0]
-    smallest = math.sqrt(smallest_sq) if smallest_sq > 0.0 else 0.0
-    return smallest >= 1.0 - tol
+    Sines keep the small angles that cosines near 1 round away, and the sum
+    bounds the equality gap 1 - prod cos^2 from above.  A pair that passes
+    has an exact gap of at most tol / 2; the other half of the equality
+    tolerance absorbs the roundoff of the computed gap, which comes from
+    LU and R rather than from these bases.
+    """
+    residual = fb.q - matmul(fa.q, overlap)
+    return float((np.abs(residual) ** 2).sum()) <= 0.5 * tol
 
 
 def _correlation(overlap: np.ndarray) -> float:
@@ -175,19 +164,20 @@ def _gram_log_det(f: ColumnFactors) -> SignedLogDet:
     return SignedLogDet(1.0 + 0j, 2.0 * sum(math.log(d) for d in f.diag), False)
 
 
-def _regime(a: np.ndarray, b: np.ndarray, subspace_tol: float):
+def _regime(a: np.ndarray, b: np.ndarray, tol: float):
     """The regime of a (whitened) pair, with the ``_factor_pair`` it was read
     from (all None for wide pairs, which shape alone settles)."""
+    if not tol > 0.0:
+        raise ValueError("tolerance must be positive")
     m, n = a.shape
     if m < n:
         return CaseTag.WIDE_EQUAL_ZERO, (None, None, None)
-    factors = _factor_pair(a, b)
-    _, _, overlap = factors
+    factors = fa, fb, overlap = _factor_pair(a, b)
     if m == n:
         return CaseTag.SQUARE_EQUAL, factors
     if overlap is None:
         return CaseTag.RANK_DEFICIENT_ZERO, factors
-    if _spans_match(overlap, subspace_tol):
+    if _spans_match(fa, fb, overlap, tol):
         return CaseTag.FULL_RANK_SAME_SPAN, factors
     return CaseTag.FULL_RANK_STRICT, factors
 
@@ -207,7 +197,13 @@ def det_correlation(a, b, m_fac: HpdFactor | None = None) -> float:
         raise WrongRegime(f"correlation is defined only for m > n, got {m} x {n}")
     if m_fac is not None:
         a, b = whitened_pair(a, b, m_fac)
-    return _correlation(_full_rank_overlap(a, b))
+    fa, fb, overlap = _factor_pair(a, b)
+    if overlap is None:
+        raise RankDeficient(
+            f"columns are linearly dependent within tolerance {RANK_TOL:g}",
+            estimated_rank=min(fa.rank, fb.rank),
+        )
+    return _correlation(overlap)
 
 
 def column_norm_profile(u: SubspaceBasis, v: SubspaceBasis) -> list[float]:
@@ -233,24 +229,13 @@ def column_norm_profile(u: SubspaceBasis, v: SubspaceBasis) -> list[float]:
     return profile
 
 
-def subspace_equal(a, b, tol: float = SUBSPACE_TOL) -> bool:
-    """Whether two full-column-rank matrices span the same subspace.
-
-    True iff every singular value of Qa*Qb is at least 1 - tol, i.e. the
-    largest principal angle between the spans has cosine within tol of 1.
-    The singular values come from Jacobi eigenvalues of (Qa*Qb)*(Qa*Qb).
-    """
-    a, b = _same_shape(a, b)
-    if a.shape[0] < a.shape[1]:
-        raise WrongRegime(f"span comparison needs m >= n, got {a.shape[0]} x {a.shape[1]}")
-    return _spans_match(_full_rank_overlap(a, b), tol)
-
-
-def classify_case(a, b, m_fac: HpdFactor | None = None, tol: float = SUBSPACE_TOL) -> CaseTag:
+def classify_case(a, b, m_fac: HpdFactor | None = None, tol: float = EQUALITY_TOL) -> CaseTag:
     """Decide the regime of an (A, B, M) instance.
 
     Shape settles the wide and square regimes; for tall instances the
-    (whitened) pair is factored once, rank-tested, then span-compared.
+    (whitened) pair is factored once, rank-tested, then span-compared:
+    the spans match when the sum of squared principal sines is at most
+    tol / 2, as in verify_inequality with the same tol.
     """
     a, b = _same_shape(a, b)
     if m_fac is not None:
@@ -263,7 +248,6 @@ def verify_inequality(
     b,
     m_fac: HpdFactor | None = None,
     tol: float = EQUALITY_TOL,
-    subspace_tol: float = SUBSPACE_TOL,
 ) -> CsReport:
     """Compute both sides of the inequality in log domain and certify the bound.
 
@@ -271,14 +255,13 @@ def verify_inequality(
     the left side from LU of A*B: two independent routes, so A*A and B*B are
     never formed.  Raises InequalityViolation if the left side exceeds the
     right beyond log(1 + tol): the bound holds for every input, so a breach
-    means a kernel bug, not a counterexample.
+    means a kernel bug, not a counterexample.  The span test spends half of
+    tol, so a FullRankSameSpan verdict carries an exact gap of at most tol / 2.
     """
     a, b = _same_shape(a, b)
-    if not tol > 0.0:
-        raise ValueError("tolerance must be positive")
     if m_fac is not None:
         a, b = whitened_pair(a, b, m_fac)
-    tag, (fa, fb, overlap) = _regime(a, b, subspace_tol)
+    tag, (fa, fb, overlap) = _regime(a, b, tol)
     correlation = None
     if overlap is None:
         # wide, or an operand short of full column rank: both sides vanish
@@ -314,10 +297,9 @@ def enforce_equality_contract(report: CsReport) -> None:
     """Raise unless an equality-tagged report's gap sits inside its tolerance.
 
     The four equality regimes promise exact equality in exact arithmetic, so
-    a computed gap beyond the tolerance signals a kernel bug, a tolerance
-    tighter than roundoff, or spans that pass the (looser) span tolerance
-    while the gap resolves their tilt.  Verification front ends apply this
-    after verify_inequality so that replayed violations stay violations.
+    a computed gap beyond the tolerance signals a kernel bug or a tolerance
+    tighter than roundoff.  Verification front ends apply this after
+    verify_inequality so that replayed violations stay violations.
     """
     if report.equality and not report.lhs_log.zero and report.relative_gap > report.tol_used:
         raise InequalityViolation(

@@ -199,18 +199,14 @@ def factor_columns(a: np.ndarray, tol: float = RANK_TOL) -> ColumnFactors:
 
     The rank, the span basis and |det R| all come from this one pass: for a
     full-column-rank tall A, det(A*A) is the product of diag(R) squared.
+    The rank counts |r_kk| above ``tol`` times the largest, so the zero
+    matrix has rank 0.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("rank tolerance must be positive")
     q, r = _householder(a, pivot=True)
     diag = np.abs(np.diagonal(r))
     return ColumnFactors(q=q, diag=diag, rank=int((diag > tol * diag.max()).sum()))
-
-
-def estimate_rank(a: np.ndarray, tol: float) -> int:
-    """Numerical rank: count of column-pivoted QR diagonals above ``tol``
-    times the largest diagonal.  The zero matrix has rank 0."""
-    return factor_columns(a, tol).rank
 
 
 def qr_thin(a: np.ndarray, rank_tol: float = RANK_TOL) -> QRFactors:
@@ -218,7 +214,7 @@ def qr_thin(a: np.ndarray, rank_tol: float = RANK_TOL) -> QRFactors:
 
     The raw factorization leaves arbitrary phases on diag(R); a final pass
     moves them into Q so diag(R) is real and strictly positive, which makes
-    the factor pair unique.  A rank below n, decided as in ``estimate_rank``,
+    the factor pair unique.  A rank below n, decided by ``factor_columns``,
     raises ``RankDeficient`` carrying the estimated rank.
     """
     m, n = a.shape

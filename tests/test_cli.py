@@ -146,6 +146,13 @@ def test_classify_prints_tag_and_clause(files, capsys):
     assert code == 0
     assert capsys.readouterr().out.splitlines()[0] == "FullRankStrict"
 
+    # a non-positive span tolerance is refused whatever the shape
+    for a, b in [("i3", "i3"), ("wide", "wide"), ("tall", "tall_span")]:
+        for tol in ("0", "-1", "nan"):
+            code = run(["classify", "--a", files[a], "--b", files[b], "--subspace-tol", tol])
+            assert code == 2
+            assert capsys.readouterr().out == ""
+
 
 def test_fuzz_small_run_passes(capsys):
     code = run(["fuzz", "--trials", "5", "--seed", "1"])

@@ -4,8 +4,9 @@ violation path under an impossible tolerance."""
 import numpy as np
 import pytest
 
-from detcs import CaseTag, FuzzConfig, classify_case, conj_transpose, estimate_rank, matmul, run_fuzz
+from detcs import CaseTag, FuzzConfig, classify_case, conj_transpose, matmul, run_fuzz
 from detcs.fuzz import ENSEMBLES, check_instance, draw_instance, trial_rng
+from detcs.linalg import factor_columns
 
 
 def test_config_validation():
@@ -50,7 +51,7 @@ def test_rank_deficient_draw_is_deficient():
         inst = draw_instance("rank_deficient", trial_rng(7, "rank_deficient", t), 8, 8)
         m, n = inst.a.shape
         assert m > n >= 2
-        assert min(estimate_rank(inst.a, 1e-10), estimate_rank(inst.b, 1e-10)) < n
+        assert min(factor_columns(inst.a, 1e-10).rank, factor_columns(inst.b, 1e-10).rank) < n
 
 
 def test_shared_span_draw_shares_span():
