@@ -114,30 +114,41 @@ def gram(a, b, m_fac: HpdFactor | None = None) -> np.ndarray:
 
 
 def whitened_pair(a, b, m_fac: HpdFactor):
-    """(WA, WB) for the weight's factor W; Gram products under M of the
-    originals equal unweighted Gram products of the pair."""
+    """(WA, WB) for the weight's factor W, from one product W [A | B]; Gram
+    products under M of the originals equal unweighted Gram products of the
+    pair."""
     a, b = _same_shape(a, b)
     w = m_fac.w_factor
     if w.shape[1] != a.shape[0]:
         raise ValueError(
             f"weight is {w.shape[0]} x {w.shape[1]} but the matrices have {a.shape[0]} rows"
         )
-    return matmul(w, a), matmul(w, b)
+    n = a.shape[1]
+    wab = matmul(w, np.concatenate((a, b), axis=1))
+    return wab[:, :n], wab[:, n:]
 
 
 def _factor_pair(a: np.ndarray, b: np.ndarray):
-    """One pivoted QR per (whitened) operand, and Qa*Qb when both have full
-    column rank (None otherwise).  The singular values of Qa*Qb are the
-    principal-angle cosines whichever bases the QRs chose."""
+    """One pivoted QR per (whitened) m x n operand and, when m > n and both
+    have full column rank, Z = Qa* Qb for A's full m x m Q (None otherwise).
+
+    Only B's basis is formed; A's reflectors are applied to it.  The top n
+    rows of Z are Qa*Qb for A's basis Qa, whose singular values are the
+    principal-angle cosines whichever bases the QRs chose.  The bottom
+    m - n rows project Qb onto the complement of span(A), and their squared
+    Frobenius norm is the sum of squared principal sines (Bjorck & Golub,
+    1973).
+    """
     fa = factor_columns(a)
     fb = factor_columns(b)
-    if min(fa.rank, fb.rank) < a.shape[1]:
+    m, n = a.shape
+    if m == n or min(fa.rank, fb.rank) < n:
         return fa, fb, None
-    return fa, fb, matmul(conj_transpose(fa.q), fb.q)
+    return fa, fb, fa.adjoint_apply(fb.basis())
 
 
-def _spans_match(fa: ColumnFactors, fb: ColumnFactors, overlap: np.ndarray, tol: float) -> bool:
-    """The sum of squared principal sines, |Qb - Qa(Qa*Qb)|_F^2, is at most tol / 2.
+def _spans_match(z: np.ndarray, n: int, tol: float) -> bool:
+    """The sum of squared principal sines, |Z[n:]|_F^2, is at most tol / 2.
 
     Sines keep the small angles that cosines near 1 round away, and the sum
     bounds the equality gap 1 - prod cos^2 from above.  A pair that passes
@@ -145,8 +156,7 @@ def _spans_match(fa: ColumnFactors, fb: ColumnFactors, overlap: np.ndarray, tol:
     tolerance absorbs the roundoff of the computed gap, which comes from
     LU and R rather than from these bases.
     """
-    residual = fb.q - matmul(fa.q, overlap)
-    return float((np.abs(residual) ** 2).sum()) <= 0.5 * tol
+    return float((np.abs(z[n:]) ** 2).sum()) <= 0.5 * tol
 
 
 def _correlation(overlap: np.ndarray) -> float:
@@ -172,12 +182,12 @@ def _regime(a: np.ndarray, b: np.ndarray, tol: float):
     m, n = a.shape
     if m < n:
         return CaseTag.WIDE_EQUAL_ZERO, (None, None, None)
-    factors = fa, fb, overlap = _factor_pair(a, b)
+    factors = fa, fb, z = _factor_pair(a, b)
     if m == n:
         return CaseTag.SQUARE_EQUAL, factors
-    if overlap is None:
+    if z is None:
         return CaseTag.RANK_DEFICIENT_ZERO, factors
-    if _spans_match(fa, fb, overlap, tol):
+    if _spans_match(z, n, tol):
         return CaseTag.FULL_RANK_SAME_SPAN, factors
     return CaseTag.FULL_RANK_STRICT, factors
 
@@ -197,13 +207,13 @@ def det_correlation(a, b, m_fac: HpdFactor | None = None) -> float:
         raise WrongRegime(f"correlation is defined only for m > n, got {m} x {n}")
     if m_fac is not None:
         a, b = whitened_pair(a, b, m_fac)
-    fa, fb, overlap = _factor_pair(a, b)
-    if overlap is None:
+    fa, fb, z = _factor_pair(a, b)
+    if z is None:
         raise RankDeficient(
             f"columns are linearly dependent within tolerance {RANK_TOL:g}",
             estimated_rank=min(fa.rank, fb.rank),
         )
-    return _correlation(overlap)
+    return _correlation(z[:n])
 
 
 def column_norm_profile(u: SubspaceBasis, v: SubspaceBasis) -> list[float]:
@@ -261,17 +271,18 @@ def verify_inequality(
     a, b = _same_shape(a, b)
     if m_fac is not None:
         a, b = whitened_pair(a, b, m_fac)
-    tag, (fa, fb, overlap) = _regime(a, b, tol)
+    tag, (fa, fb, z) = _regime(a, b, tol)
+    n = a.shape[1]
     correlation = None
-    if overlap is None:
+    if fa is None or min(fa.rank, fb.rank) < n:
         # wide, or an operand short of full column rank: both sides vanish
         # by rank arithmetic, and no determinant is evaluated
         lhs = rhs = SignedLogDet.of_zero()
     else:
         lhs = log_det(matmul(conj_transpose(a), b)).abs_squared()
         rhs = _gram_log_det(fa) * _gram_log_det(fb)
-        if tag is not CaseTag.SQUARE_EQUAL:
-            correlation = _correlation(overlap)
+        if z is not None:
+            correlation = _correlation(z[:n])
     if lhs.zero:
         relative_gap = 0.0 if rhs.zero else 1.0
     else:

@@ -109,19 +109,21 @@ def log_det(a: np.ndarray, singularity_tol: float = SINGULARITY_TOL) -> SignedLo
     phase = 1.0 + 0j
     log_mag = 0.0
     for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
+        p = k + int(np.abs(lu[k:, k]).argmax())
         pivot_mag = abs(lu[p, k])
         if pivot_mag < threshold:
             return SignedLogDet.of_zero()
         if p != k:
-            lu[[k, p], :] = lu[[p, k], :]
+            row = lu[k].copy()
+            lu[k] = lu[p]
+            lu[p] = row
             phase = -phase
         pivot = lu[k, k]
         phase *= pivot / pivot_mag
         log_mag += math.log(pivot_mag)
         if k + 1 < n:
             factors = lu[k + 1 :, k] / pivot
-            lu[k + 1 :, k + 1 :] -= np.outer(factors, lu[k, k + 1 :])
+            lu[k + 1 :, k + 1 :] -= factors[:, None] * lu[None, k, k + 1 :]  # as in _apply_reflectors
     return SignedLogDet(phase, log_mag, False)
 
 
@@ -137,12 +139,24 @@ class QRFactors:
 @dataclass(frozen=True, eq=False)
 class ColumnFactors:
     """Column-pivoted QR of an m x n matrix, kept to what a verdict reads:
-    an orthonormal m x min(m, n) basis ``q`` whose leading ``rank`` columns
-    span the numerical column space, and |diag R| in pivot order."""
+    the Householder reflectors whose product is the m x m unitary Q,
+    |diag R| in pivot order, and the rank.  The leading ``rank`` columns of
+    Q span the numerical column space.  No basis is formed until one is
+    asked for."""
 
-    q: np.ndarray
+    reflectors: tuple
     diag: np.ndarray
     rank: int
+    rows: int
+
+    def basis(self) -> np.ndarray:
+        """The orthonormal m x min(m, n) basis: the leading columns of Q."""
+        eye = np.eye(self.rows, len(self.diag), dtype=np.complex128)
+        return _apply_reflectors(self.reflectors, eye)
+
+    def adjoint_apply(self, x: np.ndarray) -> np.ndarray:
+        """Q* x for the full m x m Q, as a new array."""
+        return _apply_reflectors(self.reflectors, np.array(x, dtype=np.complex128), adjoint=True)
 
 
 def _reflector(x: np.ndarray):
@@ -158,8 +172,22 @@ def _reflector(x: np.ndarray):
     return v, beta, -ph * norm_x
 
 
+def _apply_reflectors(reflectors, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """Q x in place, or Q* x with ``adjoint``, for Q = H_0 H_1 ... the
+    product of the (hermitian) reflectors H_k = I - beta v v* acting on rows
+    k and below; returns x."""
+    for k, v, beta in reflectors if adjoint else reversed(reflectors):
+        if v is not None:
+            w = beta * (v.conj() @ x[k:])
+            # both axes spelled out, as np.outer does: on a one-entry w the
+            # 1-D broadcast v[:, None] * w can round differently
+            x[k:] -= v[:, None] * w[None, :]
+    return x
+
+
 def _householder(a: np.ndarray, pivot: bool):
-    """Householder QR of a copy of ``a``: (Q, R) with Q of size m x min(m, n).
+    """Householder QR of a copy of ``a``: (reflectors, R), where the
+    reflectors (k, v, beta) define Q as ``_apply_reflectors`` applies it.
 
     With ``pivot`` each step first swaps in the remaining column of largest
     trailing norm (so |diag R| never increases), and elimination stops once
@@ -171,42 +199,40 @@ def _householder(a: np.ndarray, pivot: bool):
     for k in range(min(m, n)):
         if pivot:
             trailing = np.sqrt((np.abs(r[k:, k:]) ** 2).sum(axis=0))
-            j = k + int(np.argmax(trailing))
+            j = k + int(trailing.argmax())
             if trailing[j - k] == 0.0:
                 r[k:, k:] = 0.0  # its entries may be too small to square, not zero
                 break
             if j != k:
-                r[:, [k, j]] = r[:, [j, k]]
-        v, beta, head = _reflector(r[k:, k].copy())
-        reflectors.append((k, v, beta))
+                col = r[:, k].copy()
+                r[:, k] = r[:, j]
+                r[:, j] = col
+        v, beta, head = _reflector(r[k:, k])
+        step = (k, v, beta)
+        reflectors.append(step)
         if v is None:
             continue
         if k + 1 < n:
-            w = beta * (v.conj() @ r[k:, k + 1 :])
-            r[k:, k + 1 :] -= np.outer(v, w)
+            _apply_reflectors((step,), r[:, k + 1 :])
         r[k, k] = head
         r[k + 1 :, k] = 0.0
-    q = np.eye(m, min(m, n), dtype=np.complex128)
-    for k, v, beta in reversed(reflectors):
-        if v is not None:
-            w = beta * (v.conj() @ q[k:, :])
-            q[k:, :] -= np.outer(v, w)
-    return q, r
+    return tuple(reflectors), r
 
 
 def factor_columns(a: np.ndarray, tol: float = RANK_TOL) -> ColumnFactors:
     """Column-pivoted Householder QR of any m x n matrix.
 
-    The rank, the span basis and |det R| all come from this one pass: for a
-    full-column-rank tall A, det(A*A) is the product of diag(R) squared.
-    The rank counts |r_kk| above ``tol`` times the largest, so the zero
-    matrix has rank 0.
+    The rank and |det R| come from this one pass, and the reflectors give
+    Q on demand: for a full-column-rank tall A, det(A*A) is the product of
+    diag(R) squared.  The rank counts |r_kk| above ``tol`` times the
+    largest, so the zero matrix has rank 0.
     """
     if not tol > 0.0:
         raise ValueError("rank tolerance must be positive")
-    q, r = _householder(a, pivot=True)
+    reflectors, r = _householder(a, pivot=True)
     diag = np.abs(np.diagonal(r))
-    return ColumnFactors(q=q, diag=diag, rank=int((diag > tol * diag.max()).sum()))
+    rank = int((diag > tol * diag.max()).sum())
+    return ColumnFactors(reflectors=reflectors, diag=diag, rank=rank, rows=a.shape[0])
 
 
 def qr_thin(a: np.ndarray, rank_tol: float = RANK_TOL) -> QRFactors:
@@ -226,7 +252,8 @@ def qr_thin(a: np.ndarray, rank_tol: float = RANK_TOL) -> QRFactors:
             f"columns are linearly dependent within tolerance {rank_tol:g}",
             estimated_rank=rank,
         )
-    q, r = _householder(a, pivot=False)
+    reflectors, r = _householder(a, pivot=False)
+    q = _apply_reflectors(reflectors, np.eye(m, n, dtype=np.complex128))
     r = np.ascontiguousarray(r[:n, :])
     # rotate row k of R by the conjugate diagonal phase, column k of Q by the
     # phase itself: QR is unchanged and diag(R) becomes real positive

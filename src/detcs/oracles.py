@@ -2,12 +2,13 @@
 
 Everything here favors obviousness over speed: Laplace expansion for
 determinants, a bare triple loop for products, and cyclic Jacobi rotations
-for hermitian eigenvalues.  Scale guards keep the factorial-cost paths from
+for hermitian eigenvalues.  Scale guards keep the exponential-cost paths from
 silently dominating a test run.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -16,7 +17,7 @@ import numpy as np
 from .errors import OracleError, WrongRegime
 from .linalg import SubspaceBasis, as_matrix, conj_transpose, matmul
 
-COFACTOR_MAX_N = 6        # Laplace expansion is n!, refuse beyond this
+COFACTOR_MAX_N = 6        # Laplace expansion is exponential in n, refuse beyond this
 JACOBI_OFFDIAG_TOL = 1e-13  # stop when every off-diagonal magnitude is below tol * trace
 JACOBI_MAX_SWEEPS = 60
 COSINE_SLACK = 1e-10      # principal-angle cosines may exceed 1 by at most this
@@ -24,27 +25,33 @@ SEARCH_TRIALS = 1000
 
 
 def det_cofactor(a) -> complex:
-    """Exact Laplace-expansion determinant, guarded to n <= 6."""
+    """Exact Laplace-expansion determinant, guarded to n <= 6.
+
+    The expansion runs along the first row of each minor.  A minor keeps
+    the trailing rows, so its remaining columns name it, and each one is
+    expanded once: O(n 2^n) products instead of n!.
+    """
     mat = as_matrix(a)
     n, cols = mat.shape
     if n != cols:
         raise ValueError(f"determinant requires a square matrix, got {mat.shape}")
     if n > COFACTOR_MAX_N:
         raise OracleError(f"cofactor expansion is limited to n <= {COFACTOR_MAX_N}, got n = {n}")
-    return _laplace(mat)
+    rows = mat.tolist()
 
+    @functools.cache
+    def minor(columns: tuple) -> complex:
+        row = rows[n - len(columns)]
+        if len(columns) == 1:
+            return row[columns[0]]
+        total = 0j
+        sign = 1.0
+        for i, j in enumerate(columns):
+            total += sign * row[j] * minor(columns[:i] + columns[i + 1 :])
+            sign = -sign
+        return total
 
-def _laplace(mat: np.ndarray) -> complex:
-    n = mat.shape[0]
-    if n == 1:
-        return complex(mat[0, 0])
-    total = 0j
-    sign = 1.0
-    for j in range(n):
-        minor = np.delete(mat[1:, :], j, axis=1)
-        total += sign * complex(mat[0, j]) * _laplace(minor)
-        sign = -sign
-    return total
+    return minor(tuple(range(n)))
 
 
 def matmul_naive(a, b) -> np.ndarray:

@@ -420,31 +420,97 @@ def test_ill_conditioned_tall_operand_verifies(tmp_path):
     assert run(["verify", "--a", str(tmp_path / "a.mat"), "--b", str(tmp_path / "b.mat")]) == 0
 
 
-def test_strict_verdict_factors_each_operand_once(monkeypatch):
+def count_calls(monkeypatch, calls, owner, name):
+    """Count calls of ``owner.name`` in ``calls`` under that name."""
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def count_verdict_kernels(monkeypatch):
     calls = collections.Counter()
-
-    def count(module, name):
-        original = getattr(module, name)
-
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, counted)
-
     for name in ("factor_columns", "matmul", "log_det", "gram"):
-        count(inequality, name)
-    count(linalg, "qr_thin")
+        count_calls(monkeypatch, calls, inequality, name)
+    count_calls(monkeypatch, calls, linalg, "qr_thin")
+    # a basis Q, or Q* applied to one, is formed only through these two
+    for name in ("basis", "adjoint_apply"):
+        count_calls(monkeypatch, calls, linalg.ColumnFactors, name)
     # inequality binds nothing from the oracles, so patching them in their
     # own module catches any call that reaches them
     for name in ("hermitian_eigenvalues", "jacobi_sweep"):
-        count(oracles, name)
+        count_calls(monkeypatch, calls, oracles, name)
+    return calls
+
+
+def test_strict_verdict_factors_each_operand_once(monkeypatch):
+    calls = count_verdict_kernels(monkeypatch)
     bound = (getattr(v, "__module__", None) for v in vars(inequality).values())
     assert oracles.__name__ not in bound
     rng = np.random.default_rng(8)
     report = verify_inequality(complex_normal(rng, 8, 4), complex_normal(rng, 8, 4))
     assert report.case_tag is CaseTag.FULL_RANK_STRICT
-    assert calls == {"factor_columns": 2, "matmul": 3, "log_det": 2}
+    # B's basis is formed once and A's reflectors are applied to it; the one
+    # product is A*B for the LU route
+    expected = {"factor_columns": 2, "matmul": 1, "log_det": 2, "basis": 1, "adjoint_apply": 1}
+    assert calls == expected
+    # a weight adds one whitening product for both operands together
+    calls.clear()
+    report = verify_inequality(complex_normal(rng, 8, 4), complex_normal(rng, 8, 4), hpd(rng, 8))
+    assert report.case_tag is CaseTag.FULL_RANK_STRICT
+    assert calls == dict(expected, matmul=2)
+
+
+def test_square_wide_and_deficient_verdicts_form_no_basis(monkeypatch):
+    calls = count_verdict_kernels(monkeypatch)
+    rng = np.random.default_rng(9)
+    deficient = matmul(complex_normal(rng, 8, 3), complex_normal(rng, 3, 4))
+    pairs = [
+        (complex_normal(rng, 4, 4), complex_normal(rng, 4, 4), CaseTag.SQUARE_EQUAL, 1),
+        (deficient[:4], complex_normal(rng, 4, 4), CaseTag.SQUARE_EQUAL, 0),
+        (complex_normal(rng, 3, 5), complex_normal(rng, 3, 5), CaseTag.WIDE_EQUAL_ZERO, 0),
+        (deficient, complex_normal(rng, 8, 4), CaseTag.RANK_DEFICIENT_ZERO, 0),
+    ]
+    for a, b, tag, lu_calls in pairs:
+        calls.clear()
+        report = verify_inequality(a, b)
+        assert report.case_tag is tag
+        assert report.correlation is None
+        assert calls["basis"] == calls["adjoint_apply"] == calls["qr_thin"] == 0
+        assert calls["log_det"] == lu_calls
+        calls.clear()
+        assert classify_case(a, b) is tag
+        assert calls["basis"] == calls["adjoint_apply"] == 0
+
+
+def test_complement_block_gives_sines_and_overlap():
+    # Z = Qa* Qb for A's full Q: the bottom rows carry sum sin^2 theta, which
+    # must match |Qb - Qa(Qa*Qb)|_F^2 from qr_thin bases, and |det Z[:n]|
+    # must match the product of cosines from numpy's QR and SVD
+    rng = np.random.default_rng(93)
+    for m, n in [(12, 6), (64, 32)]:
+        for kind in ("generic", "same span", 1e-4, 1e-6):
+            for weighted in (False, True):
+                if kind == "generic":
+                    a, b = complex_normal(rng, m, n), complex_normal(rng, m, n)
+                elif kind == "same span":
+                    a = complex_normal(rng, m, n)
+                    b = matmul(a, complex_normal(rng, n, n))
+                else:
+                    a, b = tilted_pair(rng, m, n, kind)
+                if weighted:
+                    a, b = whitened_pair(a, b, hpd(rng, m))
+                _, _, z = inequality._factor_pair(a, b)
+                qa, qb = qr_thin(a).q, qr_thin(b).q
+                residual = qb - matmul(qa, matmul(conj_transpose(qa), qb))
+                sines = float((np.abs(z[n:]) ** 2).sum())
+                assert abs(sines - float((np.abs(residual) ** 2).sum())) <= 1e-14
+                na, nb = np.linalg.qr(a)[0], np.linalg.qr(b)[0]
+                cosines = np.linalg.svd(na.conj().T @ nb, compute_uv=False).prod()
+                assert abs(abs(np.linalg.det(z[:n])) - cosines) <= 1e-12 * cosines
 
 
 def tilted_pair(rng, m, n, theta):
@@ -499,3 +565,22 @@ def test_tilt_sweep_keeps_equality_contract():
         elif theta**2 > 0.6e-9:
             assert report.case_tag is CaseTag.FULL_RANK_STRICT
     assert tags[CaseTag.FULL_RANK_SAME_SPAN] and tags[CaseTag.FULL_RANK_STRICT]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the LU of A*B = A*A C squares the condition number of A, so its "
+    "left side is off by far more than the equality tolerance",
+)
+def test_ill_conditioned_same_span_verifies(tmp_path):
+    # B = AC with sigma_min / sigma_max of A at 1e-6: FullRankSameSpan, yet
+    # verify exits 3 because the left side exceeds the right by ~4e-5 in log
+    rng = np.random.default_rng(94)
+    u = np.linalg.qr(complex_normal(rng, 12, 12))[0][:, :6]
+    v = np.linalg.qr(complex_normal(rng, 6, 6))[0]
+    a = (u * np.logspace(0.0, -6.0, 6)) @ v
+    b = a @ complex_normal(rng, 6, 6)
+    assert classify_case(a, b) is CaseTag.FULL_RANK_SAME_SPAN
+    save_matrix(tmp_path / "a.mat", a)
+    save_matrix(tmp_path / "b.mat", b)
+    assert run(["verify", "--a", str(tmp_path / "a.mat"), "--b", str(tmp_path / "b.mat")]) == 0

@@ -30,6 +30,26 @@ def test_det_cofactor_examples():
     assert det_cofactor(np.array([[5j]])) == 5j
 
 
+def test_det_cofactor_matches_plain_laplace():
+    # the memoized expansion must give the bits of a plain recursive one
+    def laplace(rows):
+        if len(rows) == 1:
+            return rows[0][0]
+        total = 0j
+        sign = 1.0
+        for j in range(len(rows)):
+            minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
+            total += sign * rows[0][j] * laplace(minor)
+            sign = -sign
+        return total
+
+    rng = np.random.default_rng(24)
+    for n in range(1, 7):
+        for _ in range(5):
+            a = complex_normal(rng, n, n)
+            assert det_cofactor(a) == laplace(a.tolist())
+
+
 def test_det_cofactor_scale_guard():
     with pytest.raises(OracleError):
         det_cofactor(np.eye(7, dtype=complex))
