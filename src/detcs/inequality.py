@@ -32,7 +32,7 @@ from .linalg import (
     SubspaceBasis,
     as_matrix,
     conj_transpose,
-    factor_columns,
+    factor_lanes,
     log_det,
     matmul,
 )
@@ -114,23 +114,48 @@ def gram(a, b, m_fac: HpdFactor | None = None) -> np.ndarray:
 
 
 def whitened_pair(a, b, m_fac: HpdFactor):
-    """(WA, WB) for the weight's factor W, from one product W [A | B]; Gram
-    products under M of the originals equal unweighted Gram products of the
-    pair."""
+    """(WA, WB) for the weight's factor W; Gram products under M of the
+    originals equal unweighted Gram products of the pair.
+
+    W is upper triangular, so row k of [A | B] reaches rows 0..k of the
+    product only; the rows below add zeros, and the sum equals
+    ``matmul(W, [A | B])`` with half the work.
+    """
     a, b = _same_shape(a, b)
-    w = m_fac.w_factor
-    if w.shape[1] != a.shape[0]:
-        raise ValueError(
-            f"weight is {w.shape[0]} x {w.shape[1]} but the matrices have {a.shape[0]} rows"
-        )
+    w = _weight_factor(m_fac, a.shape[0])
+    x = np.concatenate((a, b), axis=1)
+    wab = np.zeros_like(x)
+    for k in range(x.shape[0]):
+        wab[: k + 1] += w[: k + 1, k : k + 1] * x[k : k + 1]
     n = a.shape[1]
-    wab = matmul(w, np.concatenate((a, b), axis=1))
     return wab[:, :n], wab[:, n:]
 
 
+def _weight_factor(m_fac: HpdFactor, rows: int) -> np.ndarray:
+    """The weight's factor W, which must match the operands' row count."""
+    w = m_fac.w_factor
+    if w.shape[1] != rows:
+        raise ValueError(f"weight is {w.shape[0]} x {w.shape[1]} but the matrices have {rows} rows")
+    return w
+
+
+def _operands(a, b, m_fac: HpdFactor | None):
+    """The pair a verdict reads: whitened when weighted, except a wide pair,
+    which shape alone settles (its weight is still checked for size)."""
+    a, b = _same_shape(a, b)
+    if m_fac is None:
+        return a, b
+    m, n = a.shape
+    if m < n:
+        _weight_factor(m_fac, m)
+        return a, b
+    return whitened_pair(a, b, m_fac)
+
+
 def _factor_pair(a: np.ndarray, b: np.ndarray):
-    """One pivoted QR per (whitened) m x n operand and, when m > n and both
-    have full column rank, Z = Qa* Qb for A's full m x m Q (None otherwise).
+    """Both (whitened) m x n operands through one two-lane pivoted QR and,
+    when m > n and both have full column rank, Z = Qa* Qb for A's full
+    m x m Q (None otherwise).
 
     Only B's basis is formed; A's reflectors are applied to it.  The top n
     rows of Z are Qa*Qb for A's basis Qa, whose singular values are the
@@ -139,8 +164,7 @@ def _factor_pair(a: np.ndarray, b: np.ndarray):
     Frobenius norm is the sum of squared principal sines (Bjorck & Golub,
     1973).
     """
-    fa = factor_columns(a)
-    fb = factor_columns(b)
+    fa, fb = factor_lanes((a, b))
     m, n = a.shape
     if m == n or min(fa.rank, fb.rank) < n:
         return fa, fb, None
@@ -247,10 +271,7 @@ def classify_case(a, b, m_fac: HpdFactor | None = None, tol: float = EQUALITY_TO
     the spans match when the sum of squared principal sines is at most
     tol / 2, as in verify_inequality with the same tol.
     """
-    a, b = _same_shape(a, b)
-    if m_fac is not None:
-        a, b = whitened_pair(a, b, m_fac)
-    return _regime(a, b, tol)[0]
+    return _regime(*_operands(a, b, m_fac), tol)[0]
 
 
 def verify_inequality(
@@ -268,9 +289,7 @@ def verify_inequality(
     means a kernel bug, not a counterexample.  The span test spends half of
     tol, so a FullRankSameSpan verdict carries an exact gap of at most tol / 2.
     """
-    a, b = _same_shape(a, b)
-    if m_fac is not None:
-        a, b = whitened_pair(a, b, m_fac)
+    a, b = _operands(a, b, m_fac)
     tag, (fa, fb, z) = _regime(a, b, tol)
     n = a.shape[1]
     correlation = None

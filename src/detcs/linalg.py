@@ -22,6 +22,10 @@ HERMITIAN_TOL = 1e-12     # relative Frobenius deviation allowed in M - M*
 RANK_TOL = 1e-10          # pivoted-QR diagonal cutoff, relative to the largest
 ORTHO_TOL = 1e-11         # Frobenius deviation allowed in Q*Q - I
 
+# Complex entries in one matmul temporary (1 MiB); the block size changes the
+# cost of a product, never its bits.
+MATMUL_BLOCK = 1 << 16
+
 
 def as_matrix(entries) -> np.ndarray:
     """Coerce ``entries`` to a 2-D complex128 matrix, rejecting NaN/Inf."""
@@ -38,12 +42,24 @@ def as_matrix(entries) -> np.ndarray:
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with a fixed left-to-right accumulation over the inner index."""
+    """Matrix product with a fixed left-to-right accumulation over the inner index.
+
+    Rows go in blocks whose products a_ik b_kj fit a bounded temporary, and
+    each block adds them up over k in order.  The sum runs on the float64
+    view, so its innermost axis pairs real and imaginary parts and is never
+    the k axis, which numpy would sum pairwise.
+    """
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"cannot multiply shapes {a.shape} and {b.shape}")
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.complex128)
-    for k in range(a.shape[1]):
-        out += a[:, k : k + 1] * b[k : k + 1, :]
+    a = np.asarray(a, dtype=np.complex128)
+    b = np.asarray(b, dtype=np.complex128)
+    m, inner = a.shape
+    out = np.empty((m, b.shape[1]), dtype=np.complex128)
+    flat = out.view(np.float64)
+    rows = max(1, MATMUL_BLOCK // max(1, inner * b.shape[1]))
+    for i in range(0, m, rows):
+        terms = a[i : i + rows, :, None] * b[None]
+        np.sum(terms.view(np.float64), axis=1, out=flat[i : i + rows])
     return out
 
 
@@ -123,7 +139,9 @@ def log_det(a: np.ndarray, singularity_tol: float = SINGULARITY_TOL) -> SignedLo
         log_mag += math.log(pivot_mag)
         if k + 1 < n:
             factors = lu[k + 1 :, k] / pivot
-            lu[k + 1 :, k + 1 :] -= factors[:, None] * lu[None, k, k + 1 :]  # as in _apply_reflectors
+            # both axes spelled out, as np.outer does: on a one-entry row the
+            # 1-D broadcast factors[:, None] * lu[k, k + 1 :] can round differently
+            lu[k + 1 :, k + 1 :] -= factors[:, None] * lu[None, k, k + 1 :]
     return SignedLogDet(phase, log_mag, False)
 
 
@@ -151,72 +169,116 @@ class ColumnFactors:
 
     def basis(self) -> np.ndarray:
         """The orthonormal m x min(m, n) basis: the leading columns of Q."""
-        eye = np.eye(self.rows, len(self.diag), dtype=np.complex128)
-        return _apply_reflectors(self.reflectors, eye)
+        return _leading_columns(self.reflectors, self.rows, len(self.diag))
 
     def adjoint_apply(self, x: np.ndarray) -> np.ndarray:
         """Q* x for the full m x m Q, as a new array."""
-        return _apply_reflectors(self.reflectors, np.array(x, dtype=np.complex128), adjoint=True)
+        y = np.array(x, dtype=np.complex128)
+        for k, v, vh in self.reflectors:
+            _reflect(v, vh, y[k:])
+        return y
 
 
-def _reflector(x: np.ndarray):
-    """Householder vector and scaling that annihilate x below its head."""
-    norm_x = math.sqrt(float((np.abs(x) ** 2).sum()))
-    if norm_x == 0.0:
-        return None, 0.0, 0.0
-    head = x[0]
-    ph = head / abs(head) if head != 0 else 1.0 + 0j
-    v = x.copy()
-    v[0] += ph * norm_x
-    beta = 2.0 / float((np.abs(v) ** 2).sum())
-    return v, beta, -ph * norm_x
+def _reflect(v: np.ndarray, vh: np.ndarray, y: np.ndarray) -> None:
+    """y -= v (vh y) in place: the reflector I - v vh, with v a column and
+    vh = beta v* a row, applied to y, lane by lane when they are stacked."""
+    y -= v * np.matmul(vh, y)
 
 
-def _apply_reflectors(reflectors, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
-    """Q x in place, or Q* x with ``adjoint``, for Q = H_0 H_1 ... the
-    product of the (hermitian) reflectors H_k = I - beta v v* acting on rows
-    k and below; returns x."""
-    for k, v, beta in reflectors if adjoint else reversed(reflectors):
-        if v is not None:
-            w = beta * (v.conj() @ x[k:])
-            # both axes spelled out, as np.outer does: on a one-entry w the
-            # 1-D broadcast v[:, None] * w can round differently
-            x[k:] -= v[:, None] * w[None, :]
+def _leading_columns(reflectors, m: int, p: int) -> np.ndarray:
+    """The leading p columns of Q = H_0 H_1 ..., formed from the identity.
+
+    Applying H_k last to first, the columns left of k are still unit vectors
+    with no entry in rows k and below, which H_k leaves alone, so it only
+    touches the block from (k, k) on.
+    """
+    x = np.eye(m, p, dtype=np.complex128)
+    for k, v, vh in reversed(reflectors):
+        _reflect(v, vh, x[k:, k:])
     return x
 
 
-def _householder(a: np.ndarray, pivot: bool):
-    """Householder QR of a copy of ``a``: (reflectors, R), where the
-    reflectors (k, v, beta) define Q as ``_apply_reflectors`` applies it.
+def _householder(operands, pivot: bool):
+    """Householder QR of a copy of each of L same-shape m x n matrices (the
+    lanes), in one pass: (a tuple of reflectors per lane, the L x m x n
+    stack of R factors).
 
-    With ``pivot`` each step first swaps in the remaining column of largest
-    trailing norm (so |diag R| never increases), and elimination stops once
-    the trailing block is zero.
+    A reflector (k, v, vh) is H_k = I - v vh on rows k and below, with
+    vh = beta v*.  Every array operation of a step is shared by the lanes,
+    which therefore get the same bits as when factored alone; only each
+    lane's scalars (pivot, head phase, beta) are worked out in Python.
+
+    The squared norms come from the float64 view, real and imaginary parts
+    summed apart, and the pivot's is reused for its reflector: for x with
+    head x0, v = x + phase(x0) |x| e0 has |v|^2 = 2 |x| (|x| + |x0|), so
+    beta = 2 / |v|^2 needs no further sum.  With ``pivot`` each step first
+    swaps in the lane's remaining column of largest trailing norm (so
+    |diag R| never increases), and a lane whose trailing block is zero
+    stops there while the others go on.
     """
-    m, n = a.shape
-    r = np.array(a, dtype=np.complex128, copy=True)
-    reflectors = []
+    r = np.array(operands, dtype=np.complex128, order="C")
+    lanes, m, n = r.shape
+    flat = r.view(np.float64)
+    reflectors = tuple([] for _ in range(lanes))
+    live = [True] * lanes
     for k in range(min(m, n)):
-        if pivot:
-            trailing = np.sqrt((np.abs(r[k:, k:]) ** 2).sum(axis=0))
-            j = k + int(trailing.argmax())
-            if trailing[j - k] == 0.0:
-                r[k:, k:] = 0.0  # its entries may be too small to square, not zero
-                break
-            if j != k:
-                col = r[:, k].copy()
-                r[:, k] = r[:, j]
-                r[:, j] = col
-        v, beta, head = _reflector(r[k:, k])
-        step = (k, v, beta)
-        reflectors.append(step)
-        if v is None:
+        f = flat[:, k:, 2 * k :] if pivot else flat[:, k:, 2 * k : 2 * k + 2]
+        halves = np.einsum("lij,lij->lj", f, f)
+        squares = halves[:, 0::2] + halves[:, 1::2]
+        picks = squares.argmax(axis=1).tolist()
+        squares = squares.tolist()
+        rows = r[:, k, k:].tolist()
+        heads, betas, active = [], [], []
+        for lane, col in enumerate(picks):
+            sq = squares[lane][col] if live[lane] else 0.0
+            if sq == 0.0:
+                if pivot and live[lane]:
+                    r[lane, k:, k:] = 0.0  # its entries may be too small to square, not zero
+                    live[lane] = False
+                heads.append(0j)
+                betas.append(0.0)
+                continue
+            if col:
+                j = k + col
+                swap = r[lane, :, k].copy()
+                r[lane, :, k] = r[lane, :, j]
+                r[lane, :, j] = swap
+            norm = math.sqrt(sq)
+            x0 = rows[lane][col]
+            size = abs(x0)
+            shift = (x0 / size if size else 1.0 + 0j) * norm
+            heads.append(-shift)
+            betas.append(1.0 / (norm * (norm + size)))
+            active.append((lane, x0 + shift))
+        if not active:
+            if pivot:
+                break  # every lane's trailing block is zero
             continue
+        v = r[:, k:, k : k + 1].copy()
+        for lane, v0 in active:
+            v[lane, 0, 0] = v0
+        vh = v.reshape(lanes, 1, m - k).conj() * np.array(betas).reshape(lanes, 1, 1)
         if k + 1 < n:
-            _apply_reflectors((step,), r[:, k + 1 :])
-        r[k, k] = head
-        r[k + 1 :, k] = 0.0
-    return tuple(reflectors), r
+            _reflect(v, vh, r[:, k:, k + 1 :])
+        r[:, k, k] = heads
+        r[:, k + 1 :, k] = 0.0
+        for lane, _ in active:
+            reflectors[lane].append((k, v[lane], vh[lane]))
+    return tuple(tuple(steps) for steps in reflectors), r
+
+
+def factor_lanes(operands, tol: float = RANK_TOL) -> tuple:
+    """``factor_columns`` of each of L same-shape matrices, in one
+    Householder pass; each lane gets the same bits as factored alone."""
+    if not tol > 0.0:
+        raise ValueError("rank tolerance must be positive")
+    reflectors, r = _householder(operands, pivot=True)
+    diags = np.abs(np.diagonal(r, axis1=1, axis2=2))
+    ranks = (diags > tol * diags.max(axis=1, keepdims=True)).sum(axis=1).tolist()
+    return tuple(
+        ColumnFactors(reflectors=steps, diag=diag, rank=rank, rows=r.shape[1])
+        for steps, diag, rank in zip(reflectors, diags, ranks)
+    )
 
 
 def factor_columns(a: np.ndarray, tol: float = RANK_TOL) -> ColumnFactors:
@@ -227,12 +289,7 @@ def factor_columns(a: np.ndarray, tol: float = RANK_TOL) -> ColumnFactors:
     diag(R) squared.  The rank counts |r_kk| above ``tol`` times the
     largest, so the zero matrix has rank 0.
     """
-    if not tol > 0.0:
-        raise ValueError("rank tolerance must be positive")
-    reflectors, r = _householder(a, pivot=True)
-    diag = np.abs(np.diagonal(r))
-    rank = int((diag > tol * diag.max()).sum())
-    return ColumnFactors(reflectors=reflectors, diag=diag, rank=rank, rows=a.shape[0])
+    return factor_lanes((a,), tol)[0]
 
 
 def qr_thin(a: np.ndarray, rank_tol: float = RANK_TOL) -> QRFactors:
@@ -252,9 +309,9 @@ def qr_thin(a: np.ndarray, rank_tol: float = RANK_TOL) -> QRFactors:
             f"columns are linearly dependent within tolerance {rank_tol:g}",
             estimated_rank=rank,
         )
-    reflectors, r = _householder(a, pivot=False)
-    q = _apply_reflectors(reflectors, np.eye(m, n, dtype=np.complex128))
-    r = np.ascontiguousarray(r[:n, :])
+    reflectors, r = _householder((a,), pivot=False)
+    q = _leading_columns(reflectors[0], m, n)
+    r = np.ascontiguousarray(r[0, :n, :])
     # rotate row k of R by the conjugate diagonal phase, column k of Q by the
     # phase itself: QR is unchanged and diag(R) becomes real positive
     for k in range(n):
@@ -268,11 +325,16 @@ def qr_thin(a: np.ndarray, rank_tol: float = RANK_TOL) -> QRFactors:
 
 @dataclass(frozen=True, eq=False)
 class HpdFactor:
-    """A validated hermitian positive definite weight M with a factor W
-    satisfying W*W = M."""
+    """A validated hermitian positive definite weight M with its upper
+    triangular factor W, W*W = M.  ``cholesky_hpd`` is the constructor; a W
+    with an entry below the diagonal is rejected."""
 
     m_matrix: np.ndarray
     w_factor: np.ndarray
+
+    def __post_init__(self):
+        if np.tril(self.w_factor, -1).any():
+            raise ValueError("the weight factor W must be upper triangular")
 
 
 def cholesky_hpd(
@@ -295,15 +357,18 @@ def cholesky_hpd(
     diag_scale = float(np.abs(np.diagonal(m_mat)).max())
     lower = np.zeros((n, n), dtype=np.complex128)
     for j in range(n):
-        pivot = float(m_mat[j, j].real) - float((np.abs(lower[j, :j]) ** 2).sum())
+        # column j of M less what the earlier columns of L give; its head
+        # is the pivot
+        col = m_mat[j:, j] - lower[j:, :j] @ lower[j, :j].conj()
+        pivot = float(col[0].real)
         if pivot <= pivot_tol * diag_scale:
             raise NotPositiveDefinite(
                 f"Cholesky pivot {pivot:.3e} at index {j} is not positive "
                 f"(threshold {pivot_tol * diag_scale:.3e})"
             )
-        lower[j, j] = math.sqrt(pivot)
-        if j + 1 < n:
-            lower[j + 1 :, j] = (m_mat[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j].conj()) / lower[j, j]
+        root = math.sqrt(pivot)
+        lower[j, j] = root
+        lower[j + 1 :, j] = col[1:] / root
     return HpdFactor(m_matrix=m_mat, w_factor=conj_transpose(lower))
 
 

@@ -1,13 +1,14 @@
 """Command-line behavior: output shape, exit codes, determinism, replay."""
 
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from detcs import save_matrix
+from detcs import conj_transpose, matmul, save_matrix
 from detcs.cli import run
 from detcs.fuzz import complex_normal
 
@@ -220,3 +221,23 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "total: 8/8 passed" in proc.stdout
+
+
+def test_repeated_runs_print_identical_bytes(tmp_path):
+    rng = np.random.default_rng(77)
+    save_matrix(tmp_path / "a.mat", complex_normal(rng, 64, 32))
+    save_matrix(tmp_path / "b.mat", complex_normal(rng, 64, 32))
+    g = complex_normal(rng, 64, 64)
+    save_matrix(tmp_path / "m.mat", matmul(conj_transpose(g), g) / 64.0 + 0.5 * np.eye(64))
+    env = {k: v for k, v in os.environ.items() if k != "DETCS_SEED"}
+    commands = [
+        ["fuzz", "--trials", "200", "--seed", "7"],
+        ["verify", "--json"] + [f"--{x}={tmp_path / x}.mat" for x in "abm"],
+    ]
+    for argv in commands:
+        runs = [
+            subprocess.run([sys.executable, "-m", "detcs", *argv], capture_output=True, env=env)
+            for _ in range(2)
+        ]
+        assert [r.returncode for r in runs] == [0, 0], runs[0].stderr[-300:]
+        assert runs[0].stdout and runs[0].stdout == runs[1].stdout

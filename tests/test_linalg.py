@@ -19,8 +19,9 @@ from detcs import (
     matmul,
     qr_thin,
 )
+from detcs import linalg
 from detcs.fuzz import complex_normal
-from detcs.linalg import factor_columns
+from detcs.linalg import HpdFactor, factor_columns, factor_lanes
 from detcs.oracles import det_cofactor, matmul_naive
 
 
@@ -58,6 +59,29 @@ def test_matmul_matches_naive_oracle():
         a = complex_normal(rng, m, k)
         b = complex_normal(rng, k, n)
         assert_allclose(matmul(a, b), matmul_naive(a, b), rtol=0, atol=1e-14)
+
+
+def k_loop_product(a, b):
+    """A*B summed over the inner index one rank-one term at a time."""
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=complex)
+    for k in range(a.shape[1]):
+        out += a[:, k : k + 1] * b[k : k + 1, :]
+    return out
+
+
+def test_matmul_equals_plain_k_loop(monkeypatch):
+    rng = np.random.default_rng(12)
+    shapes = [(1, 1, 1), (1, 9, 1), (7, 20, 1), (1, 20, 6), (5, 1, 5), (4, 8, 4), (64, 64, 64)]
+    # 64 x 64 x 64 runs in blocks of 16 rows; these sit on both sides of a
+    # block boundary
+    shapes += [(15, 64, 64), (16, 64, 64), (17, 64, 64), (33, 64, 64)]
+    for m, k, n in shapes:
+        a, b = complex_normal(rng, m, k), complex_normal(rng, k, n)
+        assert np.array_equal(matmul(a, b), k_loop_product(a, b)), (m, k, n)
+    monkeypatch.setattr(linalg, "MATMUL_BLOCK", 24)
+    for m, k, n in [(7, 12, 1), (5, 4, 3), (6, 4, 3), (9, 3, 8), (3, 30, 1)]:
+        a, b = complex_normal(rng, m, k), complex_normal(rng, k, n)
+        assert np.array_equal(matmul(a, b), k_loop_product(a, b)), (m, k, n)
 
 
 def test_matmul_shape_mismatch():
@@ -237,6 +261,17 @@ def test_cholesky_survives_condition_1e8():
     assert err <= 1e-11 * np.linalg.norm(weight)
 
 
+def test_hpd_factor_rejects_lower_entries():
+    weight = np.diag([4.0, 9.0]).astype(complex)
+    w = np.diag([2.0, 3.0]).astype(complex)
+    w[1, 0] = 1e-300
+    with pytest.raises(ValueError):
+        HpdFactor(m_matrix=weight, w_factor=w)
+    w[1, 0] = 0.0
+    w[0, 1] = 1.0
+    assert HpdFactor(m_matrix=weight, w_factor=w).w_factor is w
+
+
 def test_cholesky_rejects_non_hermitian():
     bad = np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex)
     with pytest.raises(NotHermitian):
@@ -299,3 +334,36 @@ def test_subspace_basis_validates():
         SubspaceBasis(complex_normal(rng, 5, 2))
     with pytest.raises(ValueError):
         SubspaceBasis(np.zeros((2, 3), dtype=complex))
+
+
+def assert_same_factors(alone, lane, m):
+    assert np.array_equal(alone.diag, lane.diag)
+    assert alone.rank == lane.rank
+    assert np.array_equal(alone.basis(), lane.basis())
+    x = complex_normal(np.random.default_rng(m), m, 3)
+    assert np.array_equal(alone.adjoint_apply(x), lane.adjoint_apply(x))
+
+
+def test_two_lane_factorization_matches_each_lane_alone():
+    rng = np.random.default_rng(26)
+    cases = [(8, 4, None), (12, 6, 2), (5, 5, 0), (3, 6, 1), (1, 3, None)]
+    cases += [(64, 32, None), (64, 32, 20)]
+    for m, n, rank in cases:
+        a = complex_normal(rng, m, n)
+        if rank == 0:
+            a = 0.0 * a
+        elif rank is not None:
+            # a rank-deficient lane next to a full-rank one, in either order
+            a = matmul(complex_normal(rng, m, rank), complex_normal(rng, rank, n))
+        b = complex_normal(rng, m, n)
+        for pair in ((a, b), (b, a)):
+            lanes = factor_lanes(pair)
+            for x, lane in zip(pair, lanes):
+                assert_same_factors(factor_columns(x), lane, m)
+            # unpivoted, as qr_thin runs it
+            steps, r = linalg._householder(pair, pivot=False)
+            for i, x in enumerate(pair):
+                steps_alone, r_alone = linalg._householder((x,), pivot=False)
+                assert np.array_equal(r_alone[0], r[i])
+                basis = linalg._leading_columns(steps[i], m, min(m, n))
+                assert np.array_equal(linalg._leading_columns(steps_alone[0], m, min(m, n)), basis)
