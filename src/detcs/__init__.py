@@ -24,13 +24,11 @@ from .inequality import (
     column_norm_profile,
     det_correlation,
     enforce_equality_contract,
-    gram,
     verify_inequality,
     whitened_pair,
 )
 from .linalg import (
     HpdFactor,
-    QRFactors,
     SignedLogDet,
     SubspaceBasis,
     as_matrix,
@@ -38,7 +36,6 @@ from .linalg import (
     conj_transpose,
     log_det,
     matmul,
-    qr_thin,
 )
 from .matrixio import load_matrix, parse_matrix, save_matrix, serialize_matrix
 from .oracles import (
@@ -71,11 +68,9 @@ __all__ = [
     "column_norm_profile",
     "det_correlation",
     "enforce_equality_contract",
-    "gram",
     "verify_inequality",
     "whitened_pair",
     "HpdFactor",
-    "QRFactors",
     "SignedLogDet",
     "SubspaceBasis",
     "as_matrix",
@@ -83,7 +78,6 @@ __all__ = [
     "conj_transpose",
     "log_det",
     "matmul",
-    "qr_thin",
     "load_matrix",
     "parse_matrix",
     "save_matrix",

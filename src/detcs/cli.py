@@ -17,15 +17,14 @@ from .fuzz import ENSEMBLES, FuzzConfig, FuzzSummary, run_fuzz
 from .inequality import (
     CLAUSE_TEXT,
     CaseTag,
+    _correlated,
+    _report,
+    _verdict,
     classify_case,
     column_norm_profile,
-    det_correlation,
     enforce_equality_contract,
-    gram,
-    verify_inequality,
-    whitened_pair,
 )
-from .linalg import SubspaceBasis, cholesky_hpd, log_det, qr_thin
+from .linalg import SubspaceBasis, cholesky_hpd, conj_transpose, log_det, matmul
 from .matrixio import load_matrix, save_matrix
 from .oracles import COFACTOR_MAX_N, det_cofactor, principal_angle_cosines
 
@@ -40,11 +39,14 @@ def _load_operands(args):
     return a, b, cholesky_hpd(load_matrix(args.m)) if args.m else None
 
 
-def _check_gram_dets(a, b, m_fac) -> None:
-    """Cross-check the LU determinant of each Gram product against the
-    cofactor oracle.  Skipped silently above the oracle's size guard."""
-    products = (gram(a, b, m_fac), gram(a, a, m_fac), gram(b, b, m_fac))
-    for mat in products:
+def _check_gram_dets(v) -> None:
+    """Cross-check the LU determinant of each Gram product of the verdict's
+    pair against the cofactor oracle: A*MB, A*MA and B*MB from the whitened
+    pair, or the unweighted products of a wide pair, which the verdict does
+    not whiten (all three are singular either way).  Skipped silently above
+    the oracle's size guard."""
+    for x, y in ((v.a, v.b), (v.a, v.a), (v.b, v.b)):
+        mat = matmul(conj_transpose(x), y)
         if mat.shape[0] > COFACTOR_MAX_N:
             continue
         lu = log_det(mat)
@@ -62,11 +64,10 @@ def _check_gram_dets(a, b, m_fac) -> None:
             )
 
 
-def _thin_bases(a, b, m_fac):
-    """Thin-QR bases of the (whitened) operands."""
-    if m_fac is not None:
-        a, b = whitened_pair(a, b, m_fac)
-    return SubspaceBasis(qr_thin(a).q), SubspaceBasis(qr_thin(b).q)
+def _bases(v):
+    """The orthonormal bases of the verdict's pivoted QRs.  Principal-angle
+    cosines do not depend on which bases span the two spaces."""
+    return SubspaceBasis(v.fa.basis()), SubspaceBasis(v.fb.basis())
 
 
 def _check_cosine_product(product: float, correlation: float) -> None:
@@ -79,13 +80,13 @@ def _check_cosine_product(product: float, correlation: float) -> None:
 
 
 def cmd_verify(args) -> int:
-    a, b, m_fac = _load_operands(args)
-    report = verify_inequality(a, b, m_fac, tol=args.tol)
+    v = _verdict(*_load_operands(args), args.tol)
+    report = _report(v)
     enforce_equality_contract(report)
     if args.check:
-        _check_gram_dets(a, b, m_fac)
+        _check_gram_dets(v)
         if report.correlation is not None:
-            angles = principal_angle_cosines(*_thin_bases(a, b, m_fac))
+            angles = principal_angle_cosines(*_bases(v))
             _check_cosine_product(angles.correlation(), report.correlation)
     if args.json:
         print(json.dumps(_report_record(report), sort_keys=True))
@@ -129,9 +130,8 @@ def _report_record(report) -> dict:
 
 
 def cmd_correlate(args) -> int:
-    a, b, m_fac = _load_operands(args)
-    correlation = det_correlation(a, b, m_fac)
-    qa, qb = _thin_bases(a, b, m_fac)
+    v, correlation = _correlated(*_load_operands(args))
+    qa, qb = _bases(v)
     profile = column_norm_profile(qa, qb)
     print(f"correlation: {_fmt(correlation)}")
     print("column norms: " + " ".join(_fmt(x) for x in profile))

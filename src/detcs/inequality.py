@@ -104,15 +104,6 @@ def _same_shape(a, b):
     return a, b
 
 
-def gram(a, b, m_fac: HpdFactor | None = None) -> np.ndarray:
-    """A*MB, computed as (WA)*(WB) when a weight is given, A*B otherwise."""
-    a, b = _same_shape(a, b)
-    if m_fac is None:
-        return matmul(conj_transpose(a), b)
-    wa, wb = whitened_pair(a, b, m_fac)
-    return matmul(conj_transpose(wa), wb)
-
-
 def whitened_pair(a, b, m_fac: HpdFactor):
     """(WA, WB) for the weight's factor W; Gram products under M of the
     originals equal unweighted Gram products of the pair.
@@ -198,22 +189,58 @@ def _gram_log_det(f: ColumnFactors) -> SignedLogDet:
     return SignedLogDet(1.0 + 0j, 2.0 * sum(math.log(d) for d in f.diag), False)
 
 
-def _regime(a: np.ndarray, b: np.ndarray, tol: float):
-    """The regime of a (whitened) pair, with the ``_factor_pair`` it was read
-    from (all None for wide pairs, which shape alone settles)."""
+@dataclass(frozen=True, eq=False)
+class _Verdict:
+    """One pass over an (A, B, M) instance, which every front end reads: the
+    regime, the tolerance it was decided at, the pair the verdict reads
+    (whitened when weighted, except a wide pair), and that pair's
+    ``_factor_pair``: both pivoted QRs and Z.  The factors are None for a
+    wide pair, which shape alone settles, and Z is None unless the pair is
+    tall with full column rank."""
+
+    tag: CaseTag
+    tol: float
+    a: np.ndarray
+    b: np.ndarray
+    fa: ColumnFactors | None
+    fb: ColumnFactors | None
+    z: np.ndarray | None
+
+
+def _verdict(a, b, m_fac: HpdFactor | None, tol: float) -> _Verdict:
+    """Whiten and factor an (A, B, M) instance once, and read its regime."""
+    a, b = _operands(a, b, m_fac)
     if not tol > 0.0:
         raise ValueError("tolerance must be positive")
     m, n = a.shape
     if m < n:
-        return CaseTag.WIDE_EQUAL_ZERO, (None, None, None)
-    factors = fa, fb, z = _factor_pair(a, b)
+        return _Verdict(CaseTag.WIDE_EQUAL_ZERO, tol, a, b, None, None, None)
+    fa, fb, z = _factor_pair(a, b)
     if m == n:
-        return CaseTag.SQUARE_EQUAL, factors
-    if z is None:
-        return CaseTag.RANK_DEFICIENT_ZERO, factors
-    if _spans_match(z, n, tol):
-        return CaseTag.FULL_RANK_SAME_SPAN, factors
-    return CaseTag.FULL_RANK_STRICT, factors
+        tag = CaseTag.SQUARE_EQUAL
+    elif z is None:
+        tag = CaseTag.RANK_DEFICIENT_ZERO
+    elif _spans_match(z, n, tol):
+        tag = CaseTag.FULL_RANK_SAME_SPAN
+    else:
+        tag = CaseTag.FULL_RANK_STRICT
+    return _Verdict(tag, tol, a, b, fa, fb, z)
+
+
+def _correlated(a, b, m_fac: HpdFactor | None) -> tuple[_Verdict, float]:
+    """The one pass over a tall pair of full column rank, with its
+    correlation; any other pair raises before or after the pass."""
+    a, b = _same_shape(a, b)
+    m, n = a.shape
+    if m <= n:
+        raise WrongRegime(f"correlation is defined only for m > n, got {m} x {n}")
+    v = _verdict(a, b, m_fac, EQUALITY_TOL)
+    if v.z is None:
+        raise RankDeficient(
+            f"columns are linearly dependent within tolerance {RANK_TOL:g}",
+            estimated_rank=min(v.fa.rank, v.fb.rank),
+        )
+    return v, _correlation(v.z[:n])
 
 
 def det_correlation(a, b, m_fac: HpdFactor | None = None) -> float:
@@ -225,19 +252,7 @@ def det_correlation(a, b, m_fac: HpdFactor | None = None) -> float:
     is checked against 1 before clamping, so a value past 1 + 1e-10 raises
     instead of being silently pulled back.
     """
-    a, b = _same_shape(a, b)
-    m, n = a.shape
-    if m <= n:
-        raise WrongRegime(f"correlation is defined only for m > n, got {m} x {n}")
-    if m_fac is not None:
-        a, b = whitened_pair(a, b, m_fac)
-    fa, fb, z = _factor_pair(a, b)
-    if z is None:
-        raise RankDeficient(
-            f"columns are linearly dependent within tolerance {RANK_TOL:g}",
-            estimated_rank=min(fa.rank, fb.rank),
-        )
-    return _correlation(z[:n])
+    return _correlated(a, b, m_fac)[1]
 
 
 def column_norm_profile(u: SubspaceBasis, v: SubspaceBasis) -> list[float]:
@@ -271,7 +286,7 @@ def classify_case(a, b, m_fac: HpdFactor | None = None, tol: float = EQUALITY_TO
     the spans match when the sum of squared principal sines is at most
     tol / 2, as in verify_inequality with the same tol.
     """
-    return _regime(*_operands(a, b, m_fac), tol)[0]
+    return _verdict(a, b, m_fac, tol).tag
 
 
 def verify_inequality(
@@ -289,19 +304,23 @@ def verify_inequality(
     means a kernel bug, not a counterexample.  The span test spends half of
     tol, so a FullRankSameSpan verdict carries an exact gap of at most tol / 2.
     """
-    a, b = _operands(a, b, m_fac)
-    tag, (fa, fb, z) = _regime(a, b, tol)
-    n = a.shape[1]
+    return _report(_verdict(a, b, m_fac, tol))
+
+
+def _report(v: _Verdict) -> CsReport:
+    """The verdict record of one pass: both sides, the gap and the bound."""
+    tol = v.tol
+    n = v.a.shape[1]
     correlation = None
-    if fa is None or min(fa.rank, fb.rank) < n:
+    if v.fa is None or min(v.fa.rank, v.fb.rank) < n:
         # wide, or an operand short of full column rank: both sides vanish
         # by rank arithmetic, and no determinant is evaluated
         lhs = rhs = SignedLogDet.of_zero()
     else:
-        lhs = log_det(matmul(conj_transpose(a), b)).abs_squared()
-        rhs = _gram_log_det(fa) * _gram_log_det(fb)
-        if z is not None:
-            correlation = _correlation(z[:n])
+        lhs = log_det(matmul(conj_transpose(v.a), v.b)).abs_squared()
+        rhs = _gram_log_det(v.fa) * _gram_log_det(v.fb)
+        if v.z is not None:
+            correlation = _correlation(v.z[:n])
     if lhs.zero:
         relative_gap = 0.0 if rhs.zero else 1.0
     else:
@@ -313,12 +332,12 @@ def verify_inequality(
             )
         relative_gap = max(0.0, -math.expm1(slack))
     return CsReport(
-        case_tag=tag,
+        case_tag=v.tag,
         lhs_log=lhs,
         rhs_log=rhs,
         correlation=correlation,
         relative_gap=relative_gap,
-        equality=tag.implies_equality(),
+        equality=v.tag.implies_equality(),
         tol_used=tol,
     )
 

@@ -1,4 +1,4 @@
-"""Dense complex matrix kernels: products, Householder QR, Cholesky, log-domain determinants.
+"""Dense complex kernels: products, pivoted Householder QR, Cholesky, log-domain determinants.
 
 Everything here is a pure function of its inputs.  Matrices are numpy
 ``complex128`` arrays in row-major order; factorization loops run column by
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHermitian, NotPositiveDefinite, RankDeficient
+from .errors import NotHermitian, NotPositiveDefinite
 
 # Default thresholds.  These are artifact choices (the math itself names no
 # tolerances); every operation that uses one accepts an override.
@@ -146,15 +146,6 @@ def log_det(a: np.ndarray, singularity_tol: float = SINGULARITY_TOL) -> SignedLo
 
 
 @dataclass(frozen=True, eq=False)
-class QRFactors:
-    """Thin QR pair: ``q`` has orthonormal columns, ``r`` is upper triangular
-    with real positive diagonal (the phase lives in ``q``)."""
-
-    q: np.ndarray
-    r: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class ColumnFactors:
     """Column-pivoted QR of an m x n matrix, kept to what a verdict reads:
     the Householder reflectors whose product is the m x m unitary Q,
@@ -168,8 +159,17 @@ class ColumnFactors:
     rows: int
 
     def basis(self) -> np.ndarray:
-        """The orthonormal m x min(m, n) basis: the leading columns of Q."""
-        return _leading_columns(self.reflectors, self.rows, len(self.diag))
+        """The orthonormal m x min(m, n) basis: the leading columns of Q.
+
+        They are formed from the identity by applying the reflectors last
+        to first.  The columns left of k are then still unit vectors with no
+        entry in rows k and below, which H_k leaves alone, so H_k only
+        touches the block from (k, k) on.
+        """
+        x = np.eye(self.rows, len(self.diag), dtype=np.complex128)
+        for k, v, vh in reversed(self.reflectors):
+            _reflect(v, vh, x[k:, k:])
+        return x
 
     def adjoint_apply(self, x: np.ndarray) -> np.ndarray:
         """Q* x for the full m x m Q, as a new array."""
@@ -185,23 +185,11 @@ def _reflect(v: np.ndarray, vh: np.ndarray, y: np.ndarray) -> None:
     y -= v * np.matmul(vh, y)
 
 
-def _leading_columns(reflectors, m: int, p: int) -> np.ndarray:
-    """The leading p columns of Q = H_0 H_1 ..., formed from the identity.
-
-    Applying H_k last to first, the columns left of k are still unit vectors
-    with no entry in rows k and below, which H_k leaves alone, so it only
-    touches the block from (k, k) on.
-    """
-    x = np.eye(m, p, dtype=np.complex128)
-    for k, v, vh in reversed(reflectors):
-        _reflect(v, vh, x[k:, k:])
-    return x
-
-
-def _householder(operands, pivot: bool):
-    """Householder QR of a copy of each of L same-shape m x n matrices (the
-    lanes), in one pass: (a tuple of reflectors per lane, the L x m x n
-    stack of R factors).
+def _householder(operands):
+    """Column-pivoted Householder QR of a copy of each of L same-shape m x n
+    matrices (the lanes), in one pass: (a tuple of reflectors per lane, the
+    L x m x n stack whose diagonals are those of the R factors; nothing
+    reads below them, so the entries there are left as they fall).
 
     A reflector (k, v, vh) is H_k = I - v vh on rows k and below, with
     vh = beta v*.  Every array operation of a step is shared by the lanes,
@@ -211,10 +199,10 @@ def _householder(operands, pivot: bool):
     The squared norms come from the float64 view, real and imaginary parts
     summed apart, and the pivot's is reused for its reflector: for x with
     head x0, v = x + phase(x0) |x| e0 has |v|^2 = 2 |x| (|x| + |x0|), so
-    beta = 2 / |v|^2 needs no further sum.  With ``pivot`` each step first
-    swaps in the lane's remaining column of largest trailing norm (so
-    |diag R| never increases), and a lane whose trailing block is zero
-    stops there while the others go on.
+    beta = 2 / |v|^2 needs no further sum.  Each step first swaps in the
+    lane's remaining column of largest trailing norm (so |diag R| never
+    increases), and a lane whose trailing block is zero stops there while
+    the others go on.
     """
     r = np.array(operands, dtype=np.complex128, order="C")
     lanes, m, n = r.shape
@@ -222,7 +210,7 @@ def _householder(operands, pivot: bool):
     reflectors = tuple([] for _ in range(lanes))
     live = [True] * lanes
     for k in range(min(m, n)):
-        f = flat[:, k:, 2 * k :] if pivot else flat[:, k:, 2 * k : 2 * k + 2]
+        f = flat[:, k:, 2 * k :]
         halves = np.einsum("lij,lij->lj", f, f)
         squares = halves[:, 0::2] + halves[:, 1::2]
         picks = squares.argmax(axis=1).tolist()
@@ -232,7 +220,7 @@ def _householder(operands, pivot: bool):
         for lane, col in enumerate(picks):
             sq = squares[lane][col] if live[lane] else 0.0
             if sq == 0.0:
-                if pivot and live[lane]:
+                if live[lane]:
                     r[lane, k:, k:] = 0.0  # its entries may be too small to square, not zero
                     live[lane] = False
                 heads.append(0j)
@@ -251,9 +239,7 @@ def _householder(operands, pivot: bool):
             betas.append(1.0 / (norm * (norm + size)))
             active.append((lane, x0 + shift))
         if not active:
-            if pivot:
-                break  # every lane's trailing block is zero
-            continue
+            break  # every lane's trailing block is zero
         v = r[:, k:, k : k + 1].copy()
         for lane, v0 in active:
             v[lane, 0, 0] = v0
@@ -261,7 +247,6 @@ def _householder(operands, pivot: bool):
         if k + 1 < n:
             _reflect(v, vh, r[:, k:, k + 1 :])
         r[:, k, k] = heads
-        r[:, k + 1 :, k] = 0.0
         for lane, _ in active:
             reflectors[lane].append((k, v[lane], vh[lane]))
     return tuple(tuple(steps) for steps in reflectors), r
@@ -272,7 +257,7 @@ def factor_lanes(operands, tol: float = RANK_TOL) -> tuple:
     Householder pass; each lane gets the same bits as factored alone."""
     if not tol > 0.0:
         raise ValueError("rank tolerance must be positive")
-    reflectors, r = _householder(operands, pivot=True)
+    reflectors, r = _householder(operands)
     diags = np.abs(np.diagonal(r, axis1=1, axis2=2))
     ranks = (diags > tol * diags.max(axis=1, keepdims=True)).sum(axis=1).tolist()
     return tuple(
@@ -290,37 +275,6 @@ def factor_columns(a: np.ndarray, tol: float = RANK_TOL) -> ColumnFactors:
     largest, so the zero matrix has rank 0.
     """
     return factor_lanes((a,), tol)[0]
-
-
-def qr_thin(a: np.ndarray, rank_tol: float = RANK_TOL) -> QRFactors:
-    """Thin Householder QR of a tall (m >= n) full-column-rank matrix.
-
-    The raw factorization leaves arbitrary phases on diag(R); a final pass
-    moves them into Q so diag(R) is real and strictly positive, which makes
-    the factor pair unique.  A rank below n, decided by ``factor_columns``,
-    raises ``RankDeficient`` carrying the estimated rank.
-    """
-    m, n = a.shape
-    if m < n:
-        raise ValueError(f"thin QR requires m >= n, got {m} x {n}")
-    rank = factor_columns(a, rank_tol).rank
-    if rank < n:
-        raise RankDeficient(
-            f"columns are linearly dependent within tolerance {rank_tol:g}",
-            estimated_rank=rank,
-        )
-    reflectors, r = _householder((a,), pivot=False)
-    q = _leading_columns(reflectors[0], m, n)
-    r = np.ascontiguousarray(r[0, :n, :])
-    # rotate row k of R by the conjugate diagonal phase, column k of Q by the
-    # phase itself: QR is unchanged and diag(R) becomes real positive
-    for k in range(n):
-        d = r[k, k]
-        ph = d / abs(d)
-        r[k, k:] *= ph.conjugate()
-        r[k, k] = abs(d)
-        q[:, k] *= ph
-    return QRFactors(q=q, r=r)
 
 
 @dataclass(frozen=True, eq=False)

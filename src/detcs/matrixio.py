@@ -80,12 +80,22 @@ def serialize_matrix(a) -> str:
 
 
 def load_matrix(path) -> np.ndarray:
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        return parse_matrix(text)
+        return parse_matrix(_ascii_text(data))
     except MatrixParseError as exc:
         raise MatrixParseError(f"{path}: {exc.args[0]}") from exc
+
+
+def _ascii_text(data: bytes) -> str:
+    """The file's bytes as text; a byte past ASCII is a parse error on its line."""
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        # the text before the byte is ASCII; the sentinel counts its last line
+        line = len((data[: exc.start].decode("ascii") + "x").splitlines())
+        raise MatrixParseError(f"byte {data[exc.start]:#04x} is not ASCII", line=line) from None
 
 
 def save_matrix(path, a) -> None:

@@ -8,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from detcs import conj_transpose, matmul, save_matrix
+import detcs
+from detcs import conj_transpose, inequality, linalg, matmul, save_matrix
 from detcs.cli import run
 from detcs.fuzz import complex_normal
 
@@ -106,6 +107,59 @@ def test_verify_parse_error_reports_line(tmp_path, files, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "line 2" in captured.err
+
+
+def test_verify_non_ascii_file_names_it(tmp_path, files, capsys):
+    bad = tmp_path / "bad.mat"
+    bad.write_bytes(b"1 1\n1\xc3\xa9 0\n")
+    code = run(["verify", "--a", str(bad), "--b", files["i3"]])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {bad}: line 2: byte 0xc3 is not ASCII\n"
+
+
+@pytest.fixture
+def tall_files(tmp_path):
+    """12 x 6 operands: A, a generic B, a B = AC with A's span, and a weight."""
+    rng = np.random.default_rng(81)
+    a = complex_normal(rng, 12, 6)
+    g = complex_normal(rng, 12, 12)
+    matrices = {
+        "a": a,
+        "strict": complex_normal(rng, 12, 6),
+        "span": matmul(a, complex_normal(rng, 6, 6)),
+        "m": matmul(conj_transpose(g), g) / 12.0 + 0.5 * np.eye(12),
+    }
+    for name, x in matrices.items():
+        save_matrix(tmp_path / f"{name}.mat", x)
+    return {name: str(tmp_path / f"{name}.mat") for name in matrices}
+
+
+def test_front_ends_agree(tall_files, capsys):
+    # verify, correlate and classify read one pass over the instance, so
+    # the correlation and the regime they print are the same bytes
+    for other, tag in [("strict", "FullRankStrict"), ("span", "FullRankSameSpan")]:
+        for weight in ([], ["--m", tall_files["m"]]):
+            operands = ["--a", tall_files["a"], "--b", tall_files[other], *weight]
+            out = {}
+            for command in ("verify", "correlate", "classify"):
+                assert run([command, *operands]) == 0
+                out[command] = capsys.readouterr().out.splitlines()
+            (correlation,) = [ln for ln in out["verify"] if ln.startswith("correlation: ")]
+            assert out["correlate"][0] == correlation
+            assert out["verify"][0] == f"case: {out['classify'][0]}" == f"case: {tag}"
+
+
+def test_check_whitens_and_factors_once(tall_files, count_calls, capsys):
+    # the oracles read the verdict's whitened pair and pivoted bases
+    calls = count_calls(inequality, "whitened_pair", "factor_lanes")
+    # any other Householder pass, or a factorization asked of linalg itself
+    count_calls(linalg, "factor_lanes", "_householder")
+    operands = ["--a", tall_files["a"], "--b", tall_files["strict"], "--m", tall_files["m"]]
+    for command in ("verify", "correlate"):
+        calls.clear()
+        assert run([command, *operands, "--check"]) == 0
+        assert calls == {"whitened_pair": 1, "factor_lanes": 1, "_householder": 1}, command
+    capsys.readouterr()
 
 
 def test_correlate_half_tilted_plane(files, capsys):
@@ -221,6 +275,12 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "total: 8/8 passed" in proc.stdout
+
+
+def test_every_export_resolves():
+    assert len(set(detcs.__all__)) == len(detcs.__all__)
+    for name in detcs.__all__:
+        assert hasattr(detcs, name), name
 
 
 def test_repeated_runs_print_identical_bytes(tmp_path):

@@ -20,9 +20,7 @@ from detcs import (
     conj_transpose,
     det_correlation,
     enforce_equality_contract,
-    gram,
     matmul,
-    qr_thin,
     save_matrix,
     verify_inequality,
     whitened_pair,
@@ -30,6 +28,7 @@ from detcs import (
 from detcs import inequality, linalg, oracles
 from detcs.cli import run
 from detcs.fuzz import complex_normal
+from detcs.linalg import factor_columns
 from detcs.oracles import det_cofactor, matmul_naive
 
 
@@ -38,15 +37,21 @@ def hpd(rng, m, ridge=1.0):
     return cholesky_hpd(matmul(conj_transpose(g), g) + ridge * np.eye(m))
 
 
+def weighted_gram(a, b, fac):
+    """A*MB as (WA)*(WB) from the whitened pair, as ``verify --check`` forms it."""
+    wa, wb = whitened_pair(a, b, fac)
+    return matmul(conj_transpose(wa), wb)
+
+
 def test_gram_identity():
     eye = np.eye(2, dtype=complex)
-    assert np.array_equal(gram(eye, eye), eye)
+    assert np.array_equal(weighted_gram(eye, eye, cholesky_hpd(eye)), eye)
 
 
 def test_gram_diagonal_weight():
     e1 = np.array([[1.0], [0.0], [0.0]], dtype=complex)
     fac = cholesky_hpd(np.diag([4.0, 1.0, 1.0]).astype(complex))
-    assert np.array_equal(gram(e1, e1, fac), np.array([[4.0 + 0j]]))
+    assert np.array_equal(weighted_gram(e1, e1, fac), np.array([[4.0 + 0j]]))
 
 
 def test_gram_matches_direct_triple_product():
@@ -59,12 +64,13 @@ def test_gram_matches_direct_triple_product():
         fac = hpd(rng, m)
         direct = matmul_naive(matmul_naive(conj_transpose(a), fac.m_matrix), b)
         scale = max(1.0, float(np.abs(direct).max()))
-        assert np.abs(gram(a, b, fac) - direct).max() <= 1e-12 * scale
+        assert np.abs(weighted_gram(a, b, fac) - direct).max() <= 1e-12 * scale
 
 
 def test_gram_shape_mismatch():
+    fac = cholesky_hpd(np.eye(2, dtype=complex))
     with pytest.raises(ValueError):
-        gram(np.zeros((2, 2), dtype=complex), np.zeros((3, 2), dtype=complex))
+        weighted_gram(np.zeros((2, 2), dtype=complex), np.zeros((3, 2), dtype=complex), fac)
 
 
 def test_whitened_pair_identity_weight():
@@ -97,9 +103,8 @@ def test_triangular_whitening_equals_full_product():
         assert np.array_equal(wb, full[:, n:])
 
 
-def test_wide_weighted_pair_is_not_whitened(monkeypatch):
-    calls = collections.Counter()
-    count_calls(monkeypatch, calls, inequality, "whitened_pair")
+def test_wide_weighted_pair_is_not_whitened(count_calls):
+    calls = count_calls(inequality, "whitened_pair")
     rng = np.random.default_rng(49)
     a, b = complex_normal(rng, 3, 5), complex_normal(rng, 3, 5)
     report = verify_inequality(a, b, hpd(rng, 3))
@@ -179,7 +184,7 @@ def test_det_correlation_unitary_invariance():
         m = n + int(rng.integers(1, 5))
         a = complex_normal(rng, m, n)
         b = complex_normal(rng, m, n)
-        p = qr_thin(complex_normal(rng, m, m)).q
+        p = factor_columns(complex_normal(rng, m, m)).basis()
         base = det_correlation(a, b)
         rotated = det_correlation(matmul(p, a), matmul(p, b))
         assert abs(base - rotated) <= 1e-10
@@ -197,7 +202,7 @@ def test_det_correlation_regime_and_rank_errors():
 
 def test_column_norm_profile_identical():
     rng = np.random.default_rng(50)
-    u = SubspaceBasis(qr_thin(complex_normal(rng, 6, 3)).q)
+    u = SubspaceBasis(factor_columns(complex_normal(rng, 6, 3)).basis())
     assert_allclose(column_norm_profile(u, u), np.ones(3), rtol=0, atol=1e-12)
 
 
@@ -220,11 +225,11 @@ def test_column_norm_profile_half_tilted_plane():
 
 def test_column_norm_profile_errors():
     rng = np.random.default_rng(51)
-    u = SubspaceBasis(qr_thin(complex_normal(rng, 5, 2)).q)
-    v = SubspaceBasis(qr_thin(complex_normal(rng, 5, 3)).q)
+    u = SubspaceBasis(factor_columns(complex_normal(rng, 5, 2)).basis())
+    v = SubspaceBasis(factor_columns(complex_normal(rng, 5, 3)).basis())
     with pytest.raises(ValueError):
         column_norm_profile(u, v)
-    square = SubspaceBasis(qr_thin(complex_normal(rng, 3, 3)).q)
+    square = SubspaceBasis(factor_columns(complex_normal(rng, 3, 3)).basis())
     with pytest.raises(WrongRegime):
         column_norm_profile(square, square)
 
@@ -436,7 +441,7 @@ def test_verify_report_log_identity():
     a = complex_normal(rng, 4, 4)
     b = complex_normal(rng, 4, 4)
     report = verify_inequality(a, b)
-    ref = abs(det_cofactor(gram(a, b)))
+    ref = abs(det_cofactor(matmul(conj_transpose(a), b)))
     assert abs(report.lhs_log.log_magnitude - 2.0 * math.log(ref)) <= 1e-9
 
 
@@ -458,35 +463,19 @@ def test_ill_conditioned_tall_operand_verifies(tmp_path):
     assert run(["verify", "--a", str(tmp_path / "a.mat"), "--b", str(tmp_path / "b.mat")]) == 0
 
 
-def count_calls(monkeypatch, calls, owner, name):
-    """Count calls of ``owner.name`` in ``calls`` under that name."""
-    original = getattr(owner, name)
-
-    def counted(*args, **kwargs):
-        calls[name] += 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, counted)
-
-
-def count_verdict_kernels(monkeypatch):
-    calls = collections.Counter()
-    for name in ("factor_lanes", "matmul", "log_det", "gram", "whitened_pair"):
-        count_calls(monkeypatch, calls, inequality, name)
-    for name in ("qr_thin", "factor_columns"):
-        count_calls(monkeypatch, calls, linalg, name)
+def count_verdict_kernels(count_calls):
+    count_calls(inequality, "factor_lanes", "matmul", "log_det", "whitened_pair")
+    # every Householder pass, whoever asks for it
+    count_calls(linalg, "factor_columns", "_householder")
     # a basis Q, or Q* applied to one, is formed only through these two
-    for name in ("basis", "adjoint_apply"):
-        count_calls(monkeypatch, calls, linalg.ColumnFactors, name)
+    count_calls(linalg.ColumnFactors, "basis", "adjoint_apply")
     # inequality binds nothing from the oracles, so patching them in their
     # own module catches any call that reaches them
-    for name in ("hermitian_eigenvalues", "jacobi_sweep"):
-        count_calls(monkeypatch, calls, oracles, name)
-    return calls
+    return count_calls(oracles, "hermitian_eigenvalues", "jacobi_sweep")
 
 
-def test_strict_verdict_factors_each_operand_once(monkeypatch):
-    calls = count_verdict_kernels(monkeypatch)
+def test_strict_verdict_factors_each_operand_once(count_calls):
+    calls = count_verdict_kernels(count_calls)
     bound = (getattr(v, "__module__", None) for v in vars(inequality).values())
     assert oracles.__name__ not in bound
     rng = np.random.default_rng(8)
@@ -495,7 +484,14 @@ def test_strict_verdict_factors_each_operand_once(monkeypatch):
     # both operands go through one two-lane factorization; B's basis is
     # formed once and A's reflectors are applied to it; the one product is
     # A*B for the LU route
-    expected = {"factor_lanes": 1, "matmul": 1, "log_det": 2, "basis": 1, "adjoint_apply": 1}
+    expected = {
+        "factor_lanes": 1,
+        "_householder": 1,
+        "matmul": 1,
+        "log_det": 2,
+        "basis": 1,
+        "adjoint_apply": 1,
+    }
     assert calls == expected
     # a weight adds one triangular whitening of both operands together, and
     # no matmul
@@ -505,8 +501,8 @@ def test_strict_verdict_factors_each_operand_once(monkeypatch):
     assert calls == dict(expected, whitened_pair=1)
 
 
-def test_square_wide_and_deficient_verdicts_form_no_basis(monkeypatch):
-    calls = count_verdict_kernels(monkeypatch)
+def test_square_wide_and_deficient_verdicts_form_no_basis(count_calls):
+    calls = count_verdict_kernels(count_calls)
     rng = np.random.default_rng(9)
     deficient = matmul(complex_normal(rng, 8, 3), complex_normal(rng, 3, 4))
     pairs = [
@@ -516,11 +512,13 @@ def test_square_wide_and_deficient_verdicts_form_no_basis(monkeypatch):
         (deficient, complex_normal(rng, 8, 4), CaseTag.RANK_DEFICIENT_ZERO, 0),
     ]
     for a, b, tag, lu_calls in pairs:
+        passes = 0 if tag is CaseTag.WIDE_EQUAL_ZERO else 1
         calls.clear()
         report = verify_inequality(a, b)
         assert report.case_tag is tag
         assert report.correlation is None
-        assert calls["basis"] == calls["adjoint_apply"] == calls["qr_thin"] == 0
+        assert calls["basis"] == calls["adjoint_apply"] == 0
+        assert calls["_householder"] == calls["factor_lanes"] == passes
         assert calls["log_det"] == lu_calls
         calls.clear()
         assert classify_case(a, b) is tag
@@ -529,7 +527,7 @@ def test_square_wide_and_deficient_verdicts_form_no_basis(monkeypatch):
 
 def test_complement_block_gives_sines_and_overlap():
     # Z = Qa* Qb for A's full Q: the bottom rows carry sum sin^2 theta, which
-    # must match |Qb - Qa(Qa*Qb)|_F^2 from qr_thin bases, and |det Z[:n]|
+    # must match |Qb - Qa(Qa*Qb)|_F^2 from the one-lane bases, and |det Z[:n]|
     # must match the product of cosines from numpy's QR and SVD
     rng = np.random.default_rng(93)
     for m, n in [(12, 6), (64, 32)]:
@@ -545,7 +543,7 @@ def test_complement_block_gives_sines_and_overlap():
                 if weighted:
                     a, b = whitened_pair(a, b, hpd(rng, m))
                 _, _, z = inequality._factor_pair(a, b)
-                qa, qb = qr_thin(a).q, qr_thin(b).q
+                qa, qb = factor_columns(a).basis(), factor_columns(b).basis()
                 residual = qb - matmul(qa, matmul(conj_transpose(qa), qb))
                 sines = float((np.abs(z[n:]) ** 2).sum())
                 assert abs(sines - float((np.abs(residual) ** 2).sum())) <= 1e-14

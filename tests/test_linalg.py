@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 from detcs import (
     NotHermitian,
     NotPositiveDefinite,
-    RankDeficient,
     SignedLogDet,
     SubspaceBasis,
     as_matrix,
@@ -17,7 +16,6 @@ from detcs import (
     conj_transpose,
     log_det,
     matmul,
-    qr_thin,
 )
 from detcs import linalg
 from detcs.fuzz import complex_normal
@@ -185,50 +183,71 @@ def test_signed_log_det_arithmetic():
     assert x.magnitude() == math.exp(2.0)
 
 
+# The thin QR of a matrix is read from its column-pivoted factorization: the
+# basis is the thin Q, |diag R| is kept, and R itself is never formed.
+
+
+def assert_spans(f, a, tol):
+    """f.basis() has orthonormal columns, and every column of ``a`` lies in
+    their span: Q*a has nothing below its first min(m, n) rows and Q(Q*a) = a."""
+    q = f.basis()
+    p = q.shape[1]
+    assert np.linalg.norm(matmul(conj_transpose(q), q) - np.eye(p)) <= tol
+    assert np.linalg.norm(matmul(q, matmul(conj_transpose(q), a)) - a) <= tol * np.linalg.norm(a)
+    assert np.linalg.norm(f.adjoint_apply(a)[p:]) <= tol * np.linalg.norm(a)
+
+
 def test_qr_thin_single_basis_column():
+    # the reflector maps e1 to -e1, and |r| = 1
     a = np.array([[1.0], [0.0], [0.0]], dtype=complex)
-    f = qr_thin(a)
-    assert np.array_equal(f.q, a)
-    assert np.array_equal(f.r, np.array([[1.0 + 0j]]))
+    f = factor_columns(a)
+    assert np.array_equal(f.basis(), -a)
+    assert np.array_equal(f.diag, np.array([1.0]))
 
 
 def test_qr_thin_scaled_identity():
-    f = qr_thin(2.0 * np.eye(2, dtype=complex))
-    assert np.array_equal(f.q, np.eye(2, dtype=complex))
-    assert np.array_equal(f.r, 2.0 * np.eye(2, dtype=complex))
+    f = factor_columns(2.0 * np.eye(2, dtype=complex))
+    assert np.array_equal(f.basis(), -np.eye(2, dtype=complex))
+    assert np.array_equal(f.diag, np.array([2.0, 2.0]))
 
 
 def test_qr_thin_reconstructs():
     rng = np.random.default_rng(18)
     a = complex_normal(rng, 5, 3)
-    f = qr_thin(a)
-    assert np.linalg.norm(matmul(f.q, f.r) - a) <= 1e-12 * np.linalg.norm(a)
-    assert np.linalg.norm(matmul(conj_transpose(f.q), f.q) - np.eye(3)) <= 1e-12
+    f = factor_columns(a)
+    assert_spans(f, a, 1e-12)
+    # |det R|^2 = det(A*A), whatever order the pivots took the columns in
+    gram_det = abs(np.linalg.det(matmul(conj_transpose(a), a)))
+    assert abs(np.prod(f.diag) ** 2 - gram_det) <= 1e-12 * gram_det
 
 
 def test_qr_thin_invariants_up_to_64_rows():
     rng = np.random.default_rng(19)
     for m, n in [(8, 8), (12, 5), (33, 9), (64, 17)]:
         a = complex_normal(rng, m, n)
-        f = qr_thin(a)
-        assert np.linalg.norm(matmul(f.q, f.r) - a) <= 1e-11 * np.linalg.norm(a)
-        assert np.linalg.norm(matmul(conj_transpose(f.q), f.q) - np.eye(n)) <= 1e-11
-        diag = np.diagonal(f.r)
-        assert np.all(diag.imag == 0.0) and np.all(diag.real > 0.0)
-        assert np.abs(np.tril(f.r, -1)).max() == 0.0
+        f = factor_columns(a)
+        assert_spans(f, a, 1e-11)
+        # pivoting keeps |diag R| positive and non-increasing
+        assert np.all(f.diag > 0.0) and np.all(np.diff(f.diag) <= 0.0)
+        assert f.rank == n
 
 
-def test_qr_thin_rank_deficient_raises():
+def test_basis_of_rank_deficient_matrix_spans_it():
+    # a rank-2 product: the rank says so, and the basis still spans it
     rng = np.random.default_rng(20)
     a = matmul(complex_normal(rng, 6, 2), complex_normal(rng, 2, 4))
-    with pytest.raises(RankDeficient) as err:
-        qr_thin(a)
-    assert err.value.estimated_rank == 2
+    f = factor_columns(a)
+    assert f.rank == 2
+    assert_spans(f, a, 1e-12)
 
 
-def test_qr_thin_rejects_wide():
-    with pytest.raises(ValueError):
-        qr_thin(np.zeros((2, 3), dtype=complex))
+def test_basis_of_wide_matrix_is_unitary():
+    # a wide matrix gets the full m x m unitary Q as its basis
+    rng = np.random.default_rng(27)
+    a = complex_normal(rng, 2, 3)
+    f = factor_columns(a)
+    assert f.basis().shape == (2, 2) and f.rank == 2
+    assert_spans(f, a, 1e-12)
 
 
 def test_cholesky_identity():
@@ -253,7 +272,7 @@ def test_cholesky_reconstructs():
 
 def test_cholesky_survives_condition_1e8():
     rng = np.random.default_rng(22)
-    q1 = qr_thin(complex_normal(rng, 5, 5)).q
+    q1 = factor_columns(complex_normal(rng, 5, 5)).basis()
     weight = matmul(matmul(q1, np.diag(np.logspace(0, 8, 5)).astype(complex)), conj_transpose(q1))
     weight = (weight + conj_transpose(weight)) / 2.0
     fac = cholesky_hpd(weight)
@@ -312,8 +331,8 @@ def test_estimate_rank_invariant_under_nonsingular_factor():
         r = int(rng.integers(1, n + 1))
         a = matmul(complex_normal(rng, m, r), complex_normal(rng, r, n))
         # condition of C held under 1e4 by construction: unitary x diag x unitary
-        q1 = qr_thin(complex_normal(rng, n, n)).q
-        q2 = qr_thin(complex_normal(rng, n, n)).q
+        q1 = factor_columns(complex_normal(rng, n, n)).basis()
+        q2 = factor_columns(complex_normal(rng, n, n)).basis()
         spread = np.diag(np.logspace(0, 3, n)).astype(complex)
         c = matmul(matmul(q1, spread), q2)
         assert factor_columns(matmul(a, c), 1e-10).rank == factor_columns(a, 1e-10).rank
@@ -327,7 +346,7 @@ def test_estimate_rank_rejects_bad_tol():
 
 def test_subspace_basis_validates():
     rng = np.random.default_rng(25)
-    q = qr_thin(complex_normal(rng, 5, 2)).q
+    q = factor_columns(complex_normal(rng, 5, 2)).basis()
     basis = SubspaceBasis(q)
     assert basis.shape == (5, 2)
     with pytest.raises(ValueError):
@@ -360,10 +379,3 @@ def test_two_lane_factorization_matches_each_lane_alone():
             lanes = factor_lanes(pair)
             for x, lane in zip(pair, lanes):
                 assert_same_factors(factor_columns(x), lane, m)
-            # unpivoted, as qr_thin runs it
-            steps, r = linalg._householder(pair, pivot=False)
-            for i, x in enumerate(pair):
-                steps_alone, r_alone = linalg._householder((x,), pivot=False)
-                assert np.array_equal(r_alone[0], r[i])
-                basis = linalg._leading_columns(steps[i], m, min(m, n))
-                assert np.array_equal(linalg._leading_columns(steps_alone[0], m, min(m, n)), basis)

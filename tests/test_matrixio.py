@@ -94,3 +94,18 @@ def test_load_names_file_in_error(tmp_path):
     with pytest.raises(MatrixParseError) as err:
         load_matrix(path)
     assert "bad.mat" in str(err.value)
+
+
+def test_load_names_file_and_line_of_non_ascii_byte(tmp_path):
+    path = tmp_path / "bad.mat"
+    path.write_bytes(b"2 1\n1 0\n1\xc3\xa9 0\n")
+    with pytest.raises(MatrixParseError) as err:
+        load_matrix(path)
+    assert str(err.value) == f"{path}: line 3: byte 0xc3 is not ASCII"
+    # lines are counted as the parser counts them, CR LF included
+    path.write_bytes(b"# caf\xc3\xa9\r\n1 1\n1 0\n")
+    with pytest.raises(MatrixParseError, match="line 1: byte 0xc3"):
+        load_matrix(path)
+    path.write_bytes(b"1 1\r\n\r\n\xff 0\n")
+    with pytest.raises(MatrixParseError, match="line 3: byte 0xff"):
+        load_matrix(path)

@@ -18,9 +18,9 @@ from detcs import (
     matmul,
     matmul_naive,
     principal_angle_cosines,
-    qr_thin,
 )
 from detcs.fuzz import complex_normal
+from detcs.linalg import factor_columns
 from detcs.oracles import jacobi_sweep
 
 
@@ -108,7 +108,7 @@ def test_jacobi_offdiagonal_mass_decreases_per_sweep():
 
 def test_principal_angles_identical_bases():
     rng = np.random.default_rng(33)
-    q = SubspaceBasis(qr_thin(complex_normal(rng, 6, 3)).q)
+    q = SubspaceBasis(factor_columns(complex_normal(rng, 6, 3)).basis())
     angles = principal_angle_cosines(q, q)
     assert_allclose(angles.cosines, np.ones(3), rtol=0, atol=1e-12)
 
@@ -139,8 +139,8 @@ def test_principal_angles_sorted_and_product_matches_correlation():
         m = n + int(rng.integers(1, 6))
         a = complex_normal(rng, m, n)
         b = complex_normal(rng, m, n)
-        qa = SubspaceBasis(qr_thin(a).q)
-        qb = SubspaceBasis(qr_thin(b).q)
+        qa = SubspaceBasis(factor_columns(a).basis())
+        qb = SubspaceBasis(factor_columns(b).basis())
         angles = principal_angle_cosines(qa, qb)
         assert list(angles.cosines) == sorted(angles.cosines, reverse=True)
         assert abs(angles.correlation() - det_correlation(a, b)) <= 1e-9
@@ -148,11 +148,11 @@ def test_principal_angles_sorted_and_product_matches_correlation():
 
 def test_principal_angles_regime_and_shape_errors():
     rng = np.random.default_rng(35)
-    square = SubspaceBasis(qr_thin(complex_normal(rng, 3, 3)).q)
+    square = SubspaceBasis(factor_columns(complex_normal(rng, 3, 3)).basis())
     with pytest.raises(WrongRegime):
         principal_angle_cosines(square, square)
-    tall = SubspaceBasis(qr_thin(complex_normal(rng, 5, 2)).q)
-    other = SubspaceBasis(qr_thin(complex_normal(rng, 5, 3)).q)
+    tall = SubspaceBasis(factor_columns(complex_normal(rng, 5, 2)).basis())
+    other = SubspaceBasis(factor_columns(complex_normal(rng, 5, 3)).basis())
     with pytest.raises(ValueError):
         principal_angle_cosines(tall, other)
 
