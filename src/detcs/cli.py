@@ -16,6 +16,7 @@ from .errors import DetcsError, InequalityViolation, OracleError
 from .fuzz import ENSEMBLES, FuzzConfig, FuzzSummary, run_fuzz
 from .inequality import (
     CLAUSE_TEXT,
+    EQUALITY_TOL,
     CaseTag,
     _correlated,
     _report,
@@ -65,9 +66,10 @@ def _check_gram_dets(v) -> None:
 
 
 def _bases(v):
-    """The orthonormal bases of the verdict's pivoted QRs.  Principal-angle
-    cosines do not depend on which bases span the two spaces."""
-    return SubspaceBasis(v.fa.basis()), SubspaceBasis(v.fb.basis())
+    """The orthonormal bases of the verdict's pivoted QRs; B's is the one
+    the verdict formed for Z.  Principal-angle cosines do not depend on
+    which bases span the two spaces."""
+    return SubspaceBasis(v.fa.basis()), SubspaceBasis(v.qb)
 
 
 def _check_cosine_product(product: float, correlation: float) -> None:
@@ -229,7 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="verify the inequality for one (A, B, M) instance")
     _add_operands(p_verify)
-    p_verify.add_argument("--tol", type=float, default=1e-9, help="relative equality tolerance")
+    p_verify.add_argument(
+        "--tol", type=float, default=EQUALITY_TOL, help="relative equality tolerance"
+    )
     p_verify.add_argument("--json", action="store_true", help="emit a single-line JSON record")
     p_verify.add_argument(
         "--check", action="store_true", help="also run oracle cross-checks (size-guarded)"
@@ -250,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument(
         "--subspace-tol",
         type=float,
-        default=1e-9,
+        default=EQUALITY_TOL,
         help="span-equality tolerance: spans match when the sum of squared "
         "principal sines is at most half of it",
     )
@@ -267,7 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--ensembles",
         help=f"comma-separated subset of: {', '.join(ENSEMBLES)} (default: all)",
     )
-    p_fuzz.add_argument("--tol", type=float, default=1e-9, help="relative equality tolerance")
+    p_fuzz.add_argument(
+        "--tol", type=float, default=EQUALITY_TOL, help="relative equality tolerance"
+    )
     p_fuzz.set_defaults(func=cmd_fuzz)
     return parser
 

@@ -18,7 +18,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InequalityViolation
-from .inequality import CaseTag, CsReport, enforce_equality_contract, verify_inequality
+from .inequality import (
+    EQUALITY_TOL,
+    CaseTag,
+    CsReport,
+    enforce_equality_contract,
+    verify_inequality,
+)
 from .linalg import HpdFactor, cholesky_hpd, conj_transpose, matmul
 
 ENSEMBLES = ("ginibre", "rank_deficient", "shared_span", "weighted")
@@ -31,7 +37,7 @@ class FuzzConfig:
     m_max: int = 8
     n_max: int = 8
     ensembles: tuple[str, ...] = ENSEMBLES
-    tol: float = 1e-9
+    tol: float = EQUALITY_TOL
 
     def __post_init__(self):
         if self.trials < 1:
@@ -107,9 +113,7 @@ def draw_instance(ensemble: str, rng: np.random.Generator, m_max: int, n_max: in
     if ensemble == "rank_deficient":
         if m_max < 3 or n_max < 2:
             # no room for m > n >= 2 with a rank gap; fall back to plain draws
-            m = int(rng.integers(1, m_max + 1))
-            n = int(rng.integers(1, n_max + 1))
-            return FuzzInstance(complex_normal(rng, m, n), complex_normal(rng, m, n), None)
+            return draw_instance("ginibre", rng, m_max, n_max)
         m = int(rng.integers(3, m_max + 1))
         n = int(rng.integers(2, min(n_max, m - 1) + 1))
         r = int(rng.integers(1, n))

@@ -26,6 +26,7 @@ import numpy as np
 from .errors import InequalityViolation, RankDeficient, WrongRegime
 from .linalg import (
     RANK_TOL,
+    UNIT_SLACK,
     ColumnFactors,
     HpdFactor,
     SignedLogDet,
@@ -38,8 +39,6 @@ from .linalg import (
 )
 
 EQUALITY_TOL = 1e-9       # default relative gap below which equality is accepted
-CORRELATION_SLACK = 1e-10  # |det(Qa*Qb)| may exceed 1 by at most this before clamping
-PROFILE_SLACK = 1e-10     # column norms of Qa*Qb may exceed 1 by at most this
 
 
 class CaseTag(enum.Enum):
@@ -145,8 +144,8 @@ def _operands(a, b, m_fac: HpdFactor | None):
 
 def _factor_pair(a: np.ndarray, b: np.ndarray):
     """Both (whitened) m x n operands through one two-lane pivoted QR and,
-    when m > n and both have full column rank, Z = Qa* Qb for A's full
-    m x m Q (None otherwise).
+    when m > n and both have full column rank, B's basis Qb and
+    Z = Qa* Qb for A's full m x m Q (both None otherwise).
 
     Only B's basis is formed; A's reflectors are applied to it.  The top n
     rows of Z are Qa*Qb for A's basis Qa, whose singular values are the
@@ -158,8 +157,9 @@ def _factor_pair(a: np.ndarray, b: np.ndarray):
     fa, fb = factor_lanes((a, b))
     m, n = a.shape
     if m == n or min(fa.rank, fb.rank) < n:
-        return fa, fb, None
-    return fa, fb, fa.adjoint_apply(fb.basis())
+        return fa, fb, None, None
+    qb = fb.basis()
+    return fa, fb, qb, fa.adjoint_apply(qb)
 
 
 def _spans_match(z: np.ndarray, n: int, tol: float) -> bool:
@@ -177,9 +177,9 @@ def _spans_match(z: np.ndarray, n: int, tol: float) -> bool:
 def _correlation(overlap: np.ndarray) -> float:
     """|det(Qa*Qb)|, checked against 1 before clamping."""
     raw = log_det(overlap).magnitude()
-    if raw > 1.0 + CORRELATION_SLACK:
+    if raw > 1.0 + UNIT_SLACK:
         raise InequalityViolation(
-            f"|det(Qa*Qb)| = {raw!r} exceeds 1 + {CORRELATION_SLACK:g}"
+            f"|det(Qa*Qb)| = {raw!r} exceeds 1 + {UNIT_SLACK:g}"
         )
     return raw if raw < 1.0 else 1.0
 
@@ -194,9 +194,9 @@ class _Verdict:
     """One pass over an (A, B, M) instance, which every front end reads: the
     regime, the tolerance it was decided at, the pair the verdict reads
     (whitened when weighted, except a wide pair), and that pair's
-    ``_factor_pair``: both pivoted QRs and Z.  The factors are None for a
-    wide pair, which shape alone settles, and Z is None unless the pair is
-    tall with full column rank."""
+    ``_factor_pair``: both pivoted QRs, Qb and Z.  The factors are None for
+    a wide pair, which shape alone settles, and Qb and Z are None unless
+    the pair is tall with full column rank."""
 
     tag: CaseTag
     tol: float
@@ -204,6 +204,7 @@ class _Verdict:
     b: np.ndarray
     fa: ColumnFactors | None
     fb: ColumnFactors | None
+    qb: np.ndarray | None
     z: np.ndarray | None
 
 
@@ -214,8 +215,8 @@ def _verdict(a, b, m_fac: HpdFactor | None, tol: float) -> _Verdict:
         raise ValueError("tolerance must be positive")
     m, n = a.shape
     if m < n:
-        return _Verdict(CaseTag.WIDE_EQUAL_ZERO, tol, a, b, None, None, None)
-    fa, fb, z = _factor_pair(a, b)
+        return _Verdict(CaseTag.WIDE_EQUAL_ZERO, tol, a, b, None, None, None, None)
+    fa, fb, qb, z = _factor_pair(a, b)
     if m == n:
         tag = CaseTag.SQUARE_EQUAL
     elif z is None:
@@ -224,7 +225,7 @@ def _verdict(a, b, m_fac: HpdFactor | None, tol: float) -> _Verdict:
         tag = CaseTag.FULL_RANK_SAME_SPAN
     else:
         tag = CaseTag.FULL_RANK_STRICT
-    return _Verdict(tag, tol, a, b, fa, fb, z)
+    return _Verdict(tag, tol, a, b, fa, fb, qb, z)
 
 
 def _correlated(a, b, m_fac: HpdFactor | None) -> tuple[_Verdict, float]:
@@ -270,9 +271,9 @@ def column_norm_profile(u: SubspaceBasis, v: SubspaceBasis) -> list[float]:
     profile = []
     for j in range(n):
         norm = math.sqrt(float((np.abs(w[:, j]) ** 2).sum()))
-        if norm > 1.0 + PROFILE_SLACK:
+        if norm > 1.0 + UNIT_SLACK:
             raise InequalityViolation(
-                f"column {j} of U*V has norm {norm!r} > 1 + {PROFILE_SLACK:g}"
+                f"column {j} of U*V has norm {norm!r} > 1 + {UNIT_SLACK:g}"
             )
         profile.append(norm)
     return profile

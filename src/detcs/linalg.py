@@ -14,13 +14,14 @@ import numpy as np
 
 from .errors import NotHermitian, NotPositiveDefinite
 
-# Default thresholds.  These are artifact choices (the math itself names no
-# tolerances); every operation that uses one accepts an override.
+# Thresholds.  These are artifact choices (the math itself names no
+# tolerances); each is a constant, read where it is used.
 SINGULARITY_TOL = 1e-13   # LU pivot cutoff, relative to the largest entry
 PD_PIVOT_TOL = 1e-13      # Cholesky pivot cutoff, relative to the largest diagonal
 HERMITIAN_TOL = 1e-12     # relative Frobenius deviation allowed in M - M*
 RANK_TOL = 1e-10          # pivoted-QR diagonal cutoff, relative to the largest
 ORTHO_TOL = 1e-11         # Frobenius deviation allowed in Q*Q - I
+UNIT_SLACK = 1e-10        # a computed cosine, correlation or column norm may exceed 1 by this
 
 # Complex entries in one matmul temporary (1 MiB); the block size changes the
 # cost of a product, never its bits.
@@ -107,10 +108,10 @@ class SignedLogDet:
         )
 
 
-def log_det(a: np.ndarray, singularity_tol: float = SINGULARITY_TOL) -> SignedLogDet:
+def log_det(a: np.ndarray) -> SignedLogDet:
     """Determinant of a square matrix via LU with partial pivoting.
 
-    A pivot below ``singularity_tol`` times the largest input magnitude marks
+    A pivot below ``SINGULARITY_TOL`` times the largest input magnitude marks
     the matrix singular (``zero=True``) instead of polluting the result with
     log-of-noise.
     """
@@ -120,7 +121,7 @@ def log_det(a: np.ndarray, singularity_tol: float = SINGULARITY_TOL) -> SignedLo
     scale = np.abs(a).max()
     if scale == 0.0:
         return SignedLogDet.of_zero()
-    threshold = singularity_tol * scale
+    threshold = SINGULARITY_TOL * scale
     lu = np.array(a, dtype=np.complex128, copy=True)
     phase = 1.0 + 0j
     log_mag = 0.0
@@ -252,29 +253,27 @@ def _householder(operands):
     return tuple(tuple(steps) for steps in reflectors), r
 
 
-def factor_lanes(operands, tol: float = RANK_TOL) -> tuple:
+def factor_lanes(operands) -> tuple:
     """``factor_columns`` of each of L same-shape matrices, in one
     Householder pass; each lane gets the same bits as factored alone."""
-    if not tol > 0.0:
-        raise ValueError("rank tolerance must be positive")
     reflectors, r = _householder(operands)
     diags = np.abs(np.diagonal(r, axis1=1, axis2=2))
-    ranks = (diags > tol * diags.max(axis=1, keepdims=True)).sum(axis=1).tolist()
+    ranks = (diags > RANK_TOL * diags.max(axis=1, keepdims=True)).sum(axis=1).tolist()
     return tuple(
         ColumnFactors(reflectors=steps, diag=diag, rank=rank, rows=r.shape[1])
         for steps, diag, rank in zip(reflectors, diags, ranks)
     )
 
 
-def factor_columns(a: np.ndarray, tol: float = RANK_TOL) -> ColumnFactors:
+def factor_columns(a: np.ndarray) -> ColumnFactors:
     """Column-pivoted Householder QR of any m x n matrix.
 
     The rank and |det R| come from this one pass, and the reflectors give
     Q on demand: for a full-column-rank tall A, det(A*A) is the product of
-    diag(R) squared.  The rank counts |r_kk| above ``tol`` times the
+    diag(R) squared.  The rank counts |r_kk| above ``RANK_TOL`` times the
     largest, so the zero matrix has rank 0.
     """
-    return factor_lanes((a,), tol)[0]
+    return factor_lanes((a,))[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,11 +290,7 @@ class HpdFactor:
             raise ValueError("the weight factor W must be upper triangular")
 
 
-def cholesky_hpd(
-    m_matrix: np.ndarray,
-    hermitian_tol: float = HERMITIAN_TOL,
-    pivot_tol: float = PD_PIVOT_TOL,
-) -> HpdFactor:
+def cholesky_hpd(m_matrix: np.ndarray) -> HpdFactor:
     """Validate M as hermitian positive definite and factor it as W*W = M
     with W upper triangular (the Cholesky factor)."""
     m_mat = as_matrix(m_matrix)
@@ -304,9 +299,9 @@ def cholesky_hpd(
         raise ValueError(f"weight matrix must be square, got {m_mat.shape}")
     fro = float(np.linalg.norm(m_mat))
     deviation = float(np.linalg.norm(m_mat - m_mat.conj().T))
-    if deviation > hermitian_tol * fro:
+    if deviation > HERMITIAN_TOL * fro:
         raise NotHermitian(
-            f"|M - M*| = {deviation:.3e} exceeds {hermitian_tol:g} * |M| = {hermitian_tol * fro:.3e}"
+            f"|M - M*| = {deviation:.3e} exceeds {HERMITIAN_TOL:g} * |M| = {HERMITIAN_TOL * fro:.3e}"
         )
     diag_scale = float(np.abs(np.diagonal(m_mat)).max())
     lower = np.zeros((n, n), dtype=np.complex128)
@@ -315,10 +310,10 @@ def cholesky_hpd(
         # is the pivot
         col = m_mat[j:, j] - lower[j:, :j] @ lower[j, :j].conj()
         pivot = float(col[0].real)
-        if pivot <= pivot_tol * diag_scale:
+        if pivot <= PD_PIVOT_TOL * diag_scale:
             raise NotPositiveDefinite(
                 f"Cholesky pivot {pivot:.3e} at index {j} is not positive "
-                f"(threshold {pivot_tol * diag_scale:.3e})"
+                f"(threshold {PD_PIVOT_TOL * diag_scale:.3e})"
             )
         root = math.sqrt(pivot)
         lower[j, j] = root

@@ -15,12 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OracleError, WrongRegime
-from .linalg import SubspaceBasis, as_matrix, conj_transpose, matmul
+from .fuzz import complex_normal
+from .linalg import UNIT_SLACK, SubspaceBasis, as_matrix, conj_transpose, matmul
 
 COFACTOR_MAX_N = 6        # Laplace expansion is exponential in n, refuse beyond this
 JACOBI_OFFDIAG_TOL = 1e-13  # stop when every off-diagonal magnitude is below tol * trace
 JACOBI_MAX_SWEEPS = 60
-COSINE_SLACK = 1e-10      # principal-angle cosines may exceed 1 by at most this
 SEARCH_TRIALS = 1000
 
 
@@ -108,12 +108,12 @@ def jacobi_sweep(w: np.ndarray, threshold: float) -> float:
     return float(np.linalg.norm(off))
 
 
-def hermitian_eigenvalues(h, offdiag_tol: float = JACOBI_OFFDIAG_TOL) -> list[float]:
+def hermitian_eigenvalues(h) -> list[float]:
     """Eigenvalues of a hermitian matrix by cyclic Jacobi, ascending.
 
     Iteration stops once every off-diagonal magnitude drops below
-    ``offdiag_tol`` times the trace (the natural scale for the PSD products
-    this package feeds in).
+    ``JACOBI_OFFDIAG_TOL`` times the trace (the natural scale for the PSD
+    products this package feeds in).
     """
     mat = as_matrix(h)
     n, cols = mat.shape
@@ -121,7 +121,7 @@ def hermitian_eigenvalues(h, offdiag_tol: float = JACOBI_OFFDIAG_TOL) -> list[fl
         raise ValueError(f"eigenvalues require a square matrix, got {mat.shape}")
     w = mat.copy()
     trace = float(np.diagonal(w).real.sum())
-    threshold = offdiag_tol * abs(trace)
+    threshold = JACOBI_OFFDIAG_TOL * abs(trace)
     for _ in range(JACOBI_MAX_SWEEPS):
         off_mags = np.abs(w - np.diag(np.diagonal(w)))
         if off_mags.max() <= threshold:
@@ -158,8 +158,8 @@ def principal_angle_cosines(qa: SubspaceBasis, qb: SubspaceBasis) -> PrincipalAn
     eigs = hermitian_eigenvalues(matmul(conj_transpose(p), p))
     cosines = []
     for e in reversed(eigs):
-        if e > (1.0 + COSINE_SLACK) ** 2:
-            raise OracleError(f"squared cosine {e!r} exceeds 1 + {COSINE_SLACK:g}")
+        if e > (1.0 + UNIT_SLACK) ** 2:
+            raise OracleError(f"squared cosine {e!r} exceeds 1 + {UNIT_SLACK:g}")
         cosines.append(math.sqrt(e) if e > 0.0 else 0.0)
     return PrincipalAngles(cosines=tuple(cosines))
 
@@ -184,9 +184,9 @@ def find_bilinearity_counterexample(seed: int) -> BilinearityWitness:
     for trial in range(SEARCH_TRIALS):
         rng = np.random.default_rng([abs(int(seed)), trial])
         n = 2 + trial % 2
-        a1 = _complex_normal(rng, n, n)
-        a2 = _complex_normal(rng, n, n)
-        b = _complex_normal(rng, n, n)
+        a1 = complex_normal(rng, n, n)
+        a2 = complex_normal(rng, n, n)
+        b = complex_normal(rng, n, n)
         joint = det_cofactor(matmul(conj_transpose(a1 + a2), b))
         split = det_cofactor(matmul(conj_transpose(a1), b)) + det_cofactor(
             matmul(conj_transpose(a2), b)
@@ -195,7 +195,3 @@ def find_bilinearity_counterexample(seed: int) -> BilinearityWitness:
         if discrepancy > 0.1:
             return BilinearityWitness(a1=a1, a2=a2, b=b, discrepancy=discrepancy)
     raise OracleError(f"no bilinearity defect above 0.1 in {SEARCH_TRIALS} trials")
-
-
-def _complex_normal(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
-    return (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / math.sqrt(2.0)

@@ -17,13 +17,9 @@ from detcs import (
     SubspaceBasis,
     column_norm_profile,
     conj_transpose,
-    det_cofactor,
     det_correlation,
-    find_bilinearity_counterexample,
-    hermitian_eigenvalues,
     log_det,
     matmul,
-    principal_angle_cosines,
     verify_inequality,
     whitened_pair,
 )
@@ -36,6 +32,12 @@ from detcs.fuzz import (
     trial_rng,
 )
 from detcs.linalg import factor_columns, factor_lanes
+from detcs.oracles import (
+    det_cofactor,
+    find_bilinearity_counterexample,
+    hermitian_eigenvalues,
+    principal_angle_cosines,
+)
 
 
 def _verdict(name: str, ok: bool) -> None:

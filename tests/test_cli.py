@@ -1,5 +1,6 @@
 """Command-line behavior: output shape, exit codes, determinism, replay."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -154,11 +155,18 @@ def test_check_whitens_and_factors_once(tall_files, count_calls, capsys):
     calls = count_calls(inequality, "whitened_pair", "factor_lanes")
     # any other Householder pass, or a factorization asked of linalg itself
     count_calls(linalg, "factor_lanes", "_householder")
+    # B's basis is formed once, for Z, and A's once, for the oracles
+    count_calls(linalg.ColumnFactors, "basis")
     operands = ["--a", tall_files["a"], "--b", tall_files["strict"], "--m", tall_files["m"]]
-    for command in ("verify", "correlate"):
+    for argv in (["verify", "--check"], ["correlate", "--check"], ["correlate"]):
         calls.clear()
-        assert run([command, *operands, "--check"]) == 0
-        assert calls == {"whitened_pair": 1, "factor_lanes": 1, "_householder": 1}, command
+        assert run([*argv, *operands]) == 0
+        assert calls == {
+            "whitened_pair": 1,
+            "factor_lanes": 1,
+            "_householder": 1,
+            "basis": 2,
+        }, argv
     capsys.readouterr()
 
 
@@ -277,10 +285,45 @@ def test_module_entry_point():
     assert "total: 8/8 passed" in proc.stdout
 
 
+ORACLE_NAMES = (
+    "BilinearityWitness",
+    "PrincipalAngles",
+    "det_cofactor",
+    "find_bilinearity_counterexample",
+    "hermitian_eigenvalues",
+    "matmul_naive",
+    "principal_angle_cosines",
+)
+
+
 def test_every_export_resolves():
-    assert len(set(detcs.__all__)) == len(detcs.__all__)
+    assert len(set(detcs.__all__)) == len(detcs.__all__) == 33
     for name in detcs.__all__:
         assert hasattr(detcs, name), name
+    # the reference routes are reached only through detcs.oracles
+    defined = {
+        name
+        for name, value in vars(detcs.oracles).items()
+        if getattr(value, "__module__", None) == detcs.oracles.__name__
+    }
+    assert set(ORACLE_NAMES) <= defined
+    assert not defined & set(detcs.__all__)
+    for name in ORACLE_NAMES:
+        assert callable(getattr(detcs.oracles, name)), name
+
+
+def test_kernels_take_no_threshold():
+    # every threshold is a module constant; no kernel lets a call override one
+    kernels = (
+        detcs.log_det,
+        detcs.cholesky_hpd,
+        linalg.factor_lanes,
+        linalg.factor_columns,
+        detcs.oracles.hermitian_eigenvalues,
+    )
+    for kernel in kernels:
+        params = inspect.signature(kernel).parameters
+        assert len(params) == 1, (kernel.__name__, list(params))
 
 
 def test_repeated_runs_print_identical_bytes(tmp_path):

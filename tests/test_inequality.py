@@ -542,7 +542,7 @@ def test_complement_block_gives_sines_and_overlap():
                     a, b = tilted_pair(rng, m, n, kind)
                 if weighted:
                     a, b = whitened_pair(a, b, hpd(rng, m))
-                _, _, z = inequality._factor_pair(a, b)
+                *_, z = inequality._factor_pair(a, b)
                 qa, qb = factor_columns(a).basis(), factor_columns(b).basis()
                 residual = qb - matmul(qa, matmul(conj_transpose(qa), qb))
                 sines = float((np.abs(z[n:]) ** 2).sum())

@@ -10,18 +10,20 @@ from detcs import (
     SubspaceBasis,
     WrongRegime,
     conj_transpose,
-    det_cofactor,
     det_correlation,
-    find_bilinearity_counterexample,
-    hermitian_eigenvalues,
     log_det,
     matmul,
-    matmul_naive,
-    principal_angle_cosines,
 )
 from detcs.fuzz import complex_normal
 from detcs.linalg import factor_columns
-from detcs.oracles import jacobi_sweep
+from detcs.oracles import (
+    det_cofactor,
+    find_bilinearity_counterexample,
+    hermitian_eigenvalues,
+    jacobi_sweep,
+    matmul_naive,
+    principal_angle_cosines,
+)
 
 
 def test_det_cofactor_examples():
