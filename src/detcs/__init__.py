@@ -4,6 +4,7 @@ The package verifies the bound, classifies every equality/strictness regime,
 and exposes the determinantal correlation |det(Qa*Qb)| between column
 spaces that controls the gap.  The brute-force reference routes used to
 cross-check it are not exported here; they live in ``detcs.oracles``.
+``FuzzConfig``, ``FuzzSummary`` and ``run_fuzz`` load ``detcs.fuzz`` on first use.
 """
 
 from .errors import (
@@ -16,8 +17,8 @@ from .errors import (
     RankDeficient,
     WrongRegime,
 )
-from .fuzz import ENSEMBLES, FuzzConfig, FuzzSummary, run_fuzz
 from .inequality import (
+    ENSEMBLES,
     EQUALITY_TOL,
     CaseTag,
     CsReport,
@@ -40,6 +41,15 @@ from .linalg import (
 )
 from .matrixio import load_matrix, parse_matrix, save_matrix, serialize_matrix
 from . import oracles  # the reference routes, reached as detcs.oracles.<name>
+
+
+def __getattr__(name):
+    if name in ("FuzzConfig", "FuzzSummary", "run_fuzz"):
+        from . import fuzz
+
+        return getattr(fuzz, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "DetcsError",

@@ -8,14 +8,13 @@ output is deterministic for a fixed command line, input files, and seed.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from .errors import DetcsError, InequalityViolation, OracleError
-from .fuzz import ENSEMBLES, FuzzConfig, FuzzSummary, run_fuzz
 from .inequality import (
     CLAUSE_TEXT,
+    ENSEMBLES,
     EQUALITY_TOL,
     CaseTag,
     _correlated,
@@ -27,7 +26,14 @@ from .inequality import (
 )
 from .linalg import SubspaceBasis, cholesky_hpd, conj_transpose, log_det, matmul
 from .matrixio import load_matrix, save_matrix
-from .oracles import COFACTOR_MAX_N, det_cofactor, principal_angle_cosines
+from .oracles import (
+    COFACTOR_MAX_N,
+    COSINE_PRODUCT_ATOL,
+    DET_AGREEMENT_RTOL,
+    ZERO_DET_RTOL,
+    det_cofactor,
+    principal_angle_cosines,
+)
 
 
 def _fmt(x: float) -> str:
@@ -54,12 +60,12 @@ def _check_gram_dets(v) -> None:
         cof = det_cofactor(mat)
         if lu.zero:
             scale = max(1.0, float(abs(mat).max())) ** mat.shape[0]
-            if abs(cof) > 1e-8 * scale:
+            if abs(cof) > ZERO_DET_RTOL * scale:
                 raise OracleError(
                     f"LU flags a zero determinant but the cofactor oracle gives {cof!r}"
                 )
             continue
-        if abs(lu.value() - cof) > 1e-9 * abs(cof):
+        if abs(lu.value() - cof) > DET_AGREEMENT_RTOL * abs(cof):
             raise OracleError(
                 f"LU determinant {lu.value()!r} disagrees with cofactor oracle {cof!r}"
             )
@@ -75,7 +81,7 @@ def _bases(v):
 def _check_cosine_product(product: float, correlation: float) -> None:
     """Cross-check |det(Qa*Qb)| against the product of Jacobi principal-angle
     cosines."""
-    if abs(product - correlation) > 1e-9:
+    if abs(product - correlation) > COSINE_PRODUCT_ATOL:
         raise OracleError(
             f"cosine product {product!r} disagrees with correlation {correlation!r}"
         )
@@ -91,6 +97,8 @@ def cmd_verify(args) -> int:
             angles = principal_angle_cosines(*_bases(v))
             _check_cosine_product(angles.correlation(), report.correlation)
     if args.json:
+        import json
+
         print(json.dumps(_report_record(report), sort_keys=True))
         return 0
     print(f"case: {report.case_tag.value}")
@@ -155,6 +163,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    from .fuzz import FuzzConfig, run_fuzz  # loaded only by the command that runs it
+
     seed = args.seed
     env_seed = os.environ.get("DETCS_SEED")
     if env_seed is not None:
@@ -181,7 +191,7 @@ def cmd_fuzz(args) -> int:
     return 3
 
 
-def _print_summary(summary: FuzzSummary) -> None:
+def _print_summary(summary) -> None:
     cfg = summary.config
     print(
         f"fuzz: trials={cfg.trials} seed={cfg.seed} m_max={cfg.m_max} "
@@ -199,7 +209,7 @@ def _print_summary(summary: FuzzSummary) -> None:
     print(f"total: {passed}/{total} passed")
 
 
-def _write_replays(summary: FuzzSummary) -> None:
+def _write_replays(summary) -> None:
     for v in summary.violations:
         stem = f"detcs-replay-{v.ensemble}-{v.trial}"
         save_matrix(f"{stem}-a.mat", v.instance.a)

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import InequalityViolation
 from .inequality import (
+    ENSEMBLES,
     EQUALITY_TOL,
     CaseTag,
     CsReport,
@@ -26,8 +27,6 @@ from .inequality import (
     verify_inequality,
 )
 from .linalg import HpdFactor, cholesky_hpd, conj_transpose, matmul
-
-ENSEMBLES = ("ginibre", "rank_deficient", "shared_span", "weighted")
 
 
 @dataclass(frozen=True)

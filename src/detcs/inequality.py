@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,6 +53,12 @@ class CaseTag(enum.Enum):
 
     def implies_equality(self) -> bool:
         return self is not CaseTag.FULL_RANK_STRICT
+
+
+# The fuzz ensembles, in canonical order (a trial's stream is seeded by its
+# ensemble's index here).  They are named beside the regimes they target so
+# that the CLI can list them without loading the fuzz module.
+ENSEMBLES = ("ginibre", "rank_deficient", "shared_span", "weighted")
 
 
 CLAUSE_TEXT = {
@@ -105,14 +112,18 @@ def _same_shape(a, b):
 
 def whitened_pair(a, b, m_fac: HpdFactor):
     """(WA, WB) for the weight's factor W; Gram products under M of the
-    originals equal unweighted Gram products of the pair.
+    originals equal unweighted Gram products of the pair."""
+    a, b = _same_shape(a, b)
+    return _whiten(a, b, _weight_factor(m_fac, a.shape[0]))
+
+
+def _whiten(a: np.ndarray, b: np.ndarray, w: np.ndarray):
+    """(WA, WB) for validated operands and a W of matching size.
 
     W is upper triangular, so row k of [A | B] reaches rows 0..k of the
     product only; the rows below add zeros, and the sum equals
     ``matmul(W, [A | B])`` with half the work.
     """
-    a, b = _same_shape(a, b)
-    w = _weight_factor(m_fac, a.shape[0])
     x = np.concatenate((a, b), axis=1)
     wab = np.zeros_like(x)
     for k in range(x.shape[0]):
@@ -136,10 +147,8 @@ def _operands(a, b, m_fac: HpdFactor | None):
     if m_fac is None:
         return a, b
     m, n = a.shape
-    if m < n:
-        _weight_factor(m_fac, m)
-        return a, b
-    return whitened_pair(a, b, m_fac)
+    w = _weight_factor(m_fac, m)
+    return (a, b) if m < n else _whiten(a, b, w)
 
 
 def _factor_pair(a: np.ndarray, b: np.ndarray):
@@ -189,8 +198,7 @@ def _gram_log_det(f: ColumnFactors) -> SignedLogDet:
     return SignedLogDet(1.0 + 0j, 2.0 * sum(math.log(d) for d in f.diag), False)
 
 
-@dataclass(frozen=True, eq=False)
-class _Verdict:
+class _Verdict(NamedTuple):
     """One pass over an (A, B, M) instance, which every front end reads: the
     regime, the tolerance it was decided at, the pair the verdict reads
     (whitened when weighted, except a wide pair), and that pair's
@@ -348,10 +356,12 @@ def enforce_equality_contract(report: CsReport) -> None:
 
     The four equality regimes promise exact equality in exact arithmetic, so
     a computed gap beyond the tolerance signals a kernel bug or a tolerance
-    tighter than roundoff.  Verification front ends apply this after
-    verify_inequality so that replayed violations stay violations.
+    tighter than roundoff.  A zero side beside a positive one has gap 1 and
+    raises too: the regimes promise both sides zero or both positive.
+    Verification front ends apply this after verify_inequality so that
+    replayed violations stay violations.
     """
-    if report.equality and not report.lhs_log.zero and report.relative_gap > report.tol_used:
+    if report.equality and report.relative_gap > report.tol_used:
         raise InequalityViolation(
             f"case {report.case_tag.value} demands equality but the relative gap is "
             f"{report.relative_gap!r} > {report.tol_used:g}"

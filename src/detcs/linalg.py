@@ -8,7 +8,7 @@ column with a fixed summation order so repeated runs produce identical bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,9 +23,9 @@ RANK_TOL = 1e-10          # pivoted-QR diagonal cutoff, relative to the largest
 ORTHO_TOL = 1e-11         # Frobenius deviation allowed in Q*Q - I
 UNIT_SLACK = 1e-10        # a computed cosine, correlation or column norm may exceed 1 by this
 
-# Complex entries in one matmul temporary (1 MiB); the block size changes the
-# cost of a product, never its bits.
-MATMUL_BLOCK = 1 << 16
+# Complex entries in one matmul temporary (256 KiB); the block size changes
+# the cost of a product and the memory it holds, never its bits.
+MATMUL_BLOCK = 1 << 14
 
 
 def as_matrix(entries) -> np.ndarray:
@@ -69,8 +69,14 @@ def conj_transpose(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a.conj().T)
 
 
-@dataclass(frozen=True)
-class SignedLogDet:
+def frobenius_norm(a: np.ndarray) -> float:
+    """|A|_F of a complex matrix, summed on its float64 view in a fixed
+    order (numpy.linalg.norm would hand complex input to BLAS)."""
+    f = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
+    return math.sqrt(float(np.einsum("ij,ij->", f, f)))
+
+
+class SignedLogDet(NamedTuple):
     """A determinant stored as unit phase plus log magnitude.
 
     Products of determinants overflow double precision well inside desk
@@ -146,18 +152,43 @@ def log_det(a: np.ndarray) -> SignedLogDet:
     return SignedLogDet(phase, log_mag, False)
 
 
-@dataclass(frozen=True, eq=False)
-class ColumnFactors:
+class _Record:
+    """Read-only named fields, listed in ``__slots__`` in constructor order,
+    with identity equality; the constructor sets each field once through
+    ``_set``."""
+
+    __slots__ = ()
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, which validates
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class ColumnFactors(_Record):
     """Column-pivoted QR of an m x n matrix, kept to what a verdict reads:
     the Householder reflectors whose product is the m x m unitary Q,
     |diag R| in pivot order, and the rank.  The leading ``rank`` columns of
     Q span the numerical column space.  No basis is formed until one is
     asked for."""
 
-    reflectors: tuple
-    diag: np.ndarray
-    rank: int
-    rows: int
+    __slots__ = ("reflectors", "diag", "rank", "rows")
+
+    def __init__(self, reflectors: tuple, diag: np.ndarray, rank: int, rows: int):
+        self._set(reflectors=reflectors, diag=diag, rank=rank, rows=rows)
 
     def basis(self) -> np.ndarray:
         """The orthonormal m x min(m, n) basis: the leading columns of Q.
@@ -276,18 +307,17 @@ def factor_columns(a: np.ndarray) -> ColumnFactors:
     return factor_lanes((a,))[0]
 
 
-@dataclass(frozen=True, eq=False)
-class HpdFactor:
+class HpdFactor(_Record):
     """A validated hermitian positive definite weight M with its upper
     triangular factor W, W*W = M.  ``cholesky_hpd`` is the constructor; a W
     with an entry below the diagonal is rejected."""
 
-    m_matrix: np.ndarray
-    w_factor: np.ndarray
+    __slots__ = ("m_matrix", "w_factor")
 
-    def __post_init__(self):
-        if np.tril(self.w_factor, -1).any():
+    def __init__(self, m_matrix: np.ndarray, w_factor: np.ndarray):
+        if np.tril(w_factor, -1).any():
             raise ValueError("the weight factor W must be upper triangular")
+        self._set(m_matrix=m_matrix, w_factor=w_factor)
 
 
 def cholesky_hpd(m_matrix: np.ndarray) -> HpdFactor:
@@ -297,8 +327,8 @@ def cholesky_hpd(m_matrix: np.ndarray) -> HpdFactor:
     n, cols = m_mat.shape
     if n != cols:
         raise ValueError(f"weight matrix must be square, got {m_mat.shape}")
-    fro = float(np.linalg.norm(m_mat))
-    deviation = float(np.linalg.norm(m_mat - m_mat.conj().T))
+    fro = frobenius_norm(m_mat)
+    deviation = frobenius_norm(m_mat - m_mat.conj().T)
     if deviation > HERMITIAN_TOL * fro:
         raise NotHermitian(
             f"|M - M*| = {deviation:.3e} exceeds {HERMITIAN_TOL:g} * |M| = {HERMITIAN_TOL * fro:.3e}"
@@ -321,23 +351,22 @@ def cholesky_hpd(m_matrix: np.ndarray) -> HpdFactor:
     return HpdFactor(m_matrix=m_mat, w_factor=conj_transpose(lower))
 
 
-@dataclass(frozen=True, eq=False)
-class SubspaceBasis:
+class SubspaceBasis(_Record):
     """An orthonormal basis of a column space, validated on construction."""
 
-    ortho: np.ndarray
+    __slots__ = ("ortho",)
 
-    def __post_init__(self):
-        q = as_matrix(self.ortho)
+    def __init__(self, ortho: np.ndarray):
+        q = as_matrix(ortho)
         m, n = q.shape
         if m < n:
             raise ValueError(f"an orthonormal basis needs m >= n, got {m} x {n}")
-        gram_dev = float(np.linalg.norm(matmul(conj_transpose(q), q) - np.eye(n)))
+        gram_dev = frobenius_norm(matmul(conj_transpose(q), q) - np.eye(n))
         if gram_dev > ORTHO_TOL:
             raise ValueError(
                 f"columns are not orthonormal: |Q*Q - I| = {gram_dev:.3e} > {ORTHO_TOL:g}"
             )
-        object.__setattr__(self, "ortho", q)
+        self._set(ortho=q)
 
     @property
     def shape(self):

@@ -10,15 +10,27 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import OracleError, WrongRegime
-from .fuzz import complex_normal
-from .linalg import UNIT_SLACK, SubspaceBasis, as_matrix, conj_transpose, matmul
+from .linalg import (
+    UNIT_SLACK,
+    SubspaceBasis,
+    as_matrix,
+    conj_transpose,
+    frobenius_norm,
+    matmul,
+)
 
 COFACTOR_MAX_N = 6        # Laplace expansion is exponential in n, refuse beyond this
+# How far an oracle may disagree with the verdict path under --check.  These
+# bound the agreement of two routes to one number in floating point; they do
+# not follow --tol, which is the equality tolerance of the verdict itself.
+DET_AGREEMENT_RTOL = 1e-9   # |LU det - cofactor det|, relative to the cofactor det
+ZERO_DET_RTOL = 1e-8        # |cofactor det| beside an LU zero flag, relative to scale^n
+COSINE_PRODUCT_ATOL = 1e-9  # |Jacobi cosine product - correlation|
 JACOBI_OFFDIAG_TOL = 1e-13  # stop when every off-diagonal magnitude is below tol * trace
 JACOBI_MAX_SWEEPS = 60
 SEARCH_TRIALS = 1000
@@ -104,8 +116,7 @@ def jacobi_sweep(w: np.ndarray, threshold: float) -> float:
             w[q, q] = b + t * r
             w[p, q] = 0.0
             w[q, p] = 0.0
-    off = w - np.diag(np.diagonal(w))
-    return float(np.linalg.norm(off))
+    return frobenius_norm(w - np.diag(np.diagonal(w)))
 
 
 def hermitian_eigenvalues(h) -> list[float]:
@@ -132,8 +143,7 @@ def hermitian_eigenvalues(h) -> list[float]:
     return sorted(float(x) for x in np.diagonal(w).real)
 
 
-@dataclass(frozen=True)
-class PrincipalAngles:
+class PrincipalAngles(NamedTuple):
     """Cosines of the principal angles between two subspaces, sorted
     descending; their product is the determinantal correlation."""
 
@@ -164,8 +174,7 @@ def principal_angle_cosines(qa: SubspaceBasis, qb: SubspaceBasis) -> PrincipalAn
     return PrincipalAngles(cosines=tuple(cosines))
 
 
-@dataclass(frozen=True)
-class BilinearityWitness:
+class BilinearityWitness(NamedTuple):
     """A triple showing det((A1+A2)*B) differs from det(A1*B) + det(A2*B)."""
 
     a1: np.ndarray
@@ -181,6 +190,8 @@ def find_bilinearity_counterexample(seed: int) -> BilinearityWitness:
     case, so n = 1 is excluded), so the search ends almost immediately; a full
     sweep of 1000 trials without a witness means the generator is broken.
     """
+    from .fuzz import complex_normal  # loaded here, so importing the oracles skips fuzz
+
     for trial in range(SEARCH_TRIALS):
         rng = np.random.default_rng([abs(int(seed)), trial])
         n = 2 + trial % 2

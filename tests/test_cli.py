@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import detcs
-from detcs import conj_transpose, inequality, linalg, matmul, save_matrix
+from detcs import conj_transpose, fuzz, inequality, linalg, matmul, save_matrix
 from detcs.cli import run
 from detcs.fuzz import complex_normal
 
@@ -152,7 +152,7 @@ def test_front_ends_agree(tall_files, capsys):
 
 def test_check_whitens_and_factors_once(tall_files, count_calls, capsys):
     # the oracles read the verdict's whitened pair and pivoted bases
-    calls = count_calls(inequality, "whitened_pair", "factor_lanes")
+    calls = count_calls(inequality, "_whiten", "factor_lanes")
     # any other Householder pass, or a factorization asked of linalg itself
     count_calls(linalg, "factor_lanes", "_householder")
     # B's basis is formed once, for Z, and A's once, for the oracles
@@ -162,7 +162,7 @@ def test_check_whitens_and_factors_once(tall_files, count_calls, capsys):
         calls.clear()
         assert run([*argv, *operands]) == 0
         assert calls == {
-            "whitened_pair": 1,
+            "_whiten": 1,
             "factor_lanes": 1,
             "_householder": 1,
             "basis": 2,
@@ -294,6 +294,52 @@ ORACLE_NAMES = (
     "matmul_naive",
     "principal_angle_cosines",
 )
+
+
+FOOTPRINT_PROBE = """
+import dataclasses, sys
+import detcs.cli
+loaded = [name for name in ("detcs.fuzz", "json") if name in sys.modules]
+records = {
+    value
+    for key, module in list(sys.modules.items())
+    if key == "detcs" or key.startswith("detcs.")
+    for value in vars(module).values()
+    if isinstance(value, type) and dataclasses.is_dataclass(value)
+}
+print(loaded, sorted(f"{r.__module__}.{r.__qualname__}" for r in records))
+"""
+
+
+def probe(code):
+    env = {k: v for k, v in os.environ.items() if k != "DETCS_SEED"}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr[-300:]
+    return proc.stdout
+
+
+def test_cli_import_loads_only_the_verdict_path():
+    # fuzz and json load only in the commands that use them, and the one
+    # record built by the dataclass machinery is the report
+    assert probe(FOOTPRINT_PROBE) == "[] ['detcs.inequality.CsReport']\n"
+
+
+def test_fuzz_exports_load_fuzz_on_first_use():
+    code = (
+        "import sys, detcs; print('detcs.fuzz' in sys.modules); "
+        "print(detcs.run_fuzz is detcs.fuzz.run_fuzz, detcs.FuzzConfig is detcs.fuzz.FuzzConfig, "
+        "detcs.FuzzSummary is detcs.fuzz.FuzzSummary)"
+    )
+    assert probe(code) == "False\nTrue True True\n"
+    with pytest.raises(AttributeError):
+        detcs.no_such_name
+
+
+def test_fuzz_help_lists_the_ensembles(capsys):
+    with pytest.raises(SystemExit):
+        run(["fuzz", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"subset of: {', '.join(fuzz.ENSEMBLES)} (default: all)" in text
 
 
 def test_every_export_resolves():

@@ -10,8 +10,10 @@ from numpy.testing import assert_allclose
 
 from detcs import (
     CaseTag,
+    CsReport,
     InequalityViolation,
     RankDeficient,
+    SignedLogDet,
     SubspaceBasis,
     WrongRegime,
     cholesky_hpd,
@@ -104,7 +106,7 @@ def test_triangular_whitening_equals_full_product():
 
 
 def test_wide_weighted_pair_is_not_whitened(count_calls):
-    calls = count_calls(inequality, "whitened_pair")
+    calls = count_calls(inequality, "_whiten")
     rng = np.random.default_rng(49)
     a, b = complex_normal(rng, 3, 5), complex_normal(rng, 3, 5)
     report = verify_inequality(a, b, hpd(rng, 3))
@@ -464,7 +466,7 @@ def test_ill_conditioned_tall_operand_verifies(tmp_path):
 
 
 def count_verdict_kernels(count_calls):
-    count_calls(inequality, "factor_lanes", "matmul", "log_det", "whitened_pair")
+    count_calls(inequality, "factor_lanes", "matmul", "log_det", "_whiten")
     # every Householder pass, whoever asks for it
     count_calls(linalg, "factor_columns", "_householder")
     # a basis Q, or Q* applied to one, is formed only through these two
@@ -476,15 +478,17 @@ def count_verdict_kernels(count_calls):
 
 def test_strict_verdict_factors_each_operand_once(count_calls):
     calls = count_verdict_kernels(count_calls)
+    count_calls(inequality, "as_matrix")
     bound = (getattr(v, "__module__", None) for v in vars(inequality).values())
     assert oracles.__name__ not in bound
     rng = np.random.default_rng(8)
     report = verify_inequality(complex_normal(rng, 8, 4), complex_normal(rng, 8, 4))
     assert report.case_tag is CaseTag.FULL_RANK_STRICT
-    # both operands go through one two-lane factorization; B's basis is
-    # formed once and A's reflectors are applied to it; the one product is
-    # A*B for the LU route
+    # each operand is validated once; both go through one two-lane
+    # factorization; B's basis is formed once and A's reflectors are applied
+    # to it; the one product is A*B for the LU route
     expected = {
+        "as_matrix": 2,
         "factor_lanes": 1,
         "_householder": 1,
         "matmul": 1,
@@ -494,11 +498,11 @@ def test_strict_verdict_factors_each_operand_once(count_calls):
     }
     assert calls == expected
     # a weight adds one triangular whitening of both operands together, and
-    # no matmul
+    # no matmul and no second validation
     calls.clear()
     report = verify_inequality(complex_normal(rng, 8, 4), complex_normal(rng, 8, 4), hpd(rng, 8))
     assert report.case_tag is CaseTag.FULL_RANK_STRICT
-    assert calls == dict(expected, whitened_pair=1)
+    assert calls == dict(expected, _whiten=1)
 
 
 def test_square_wide_and_deficient_verdicts_form_no_basis(count_calls):
@@ -623,3 +627,50 @@ def test_ill_conditioned_same_span_verifies(tmp_path):
     save_matrix(tmp_path / "a.mat", a)
     save_matrix(tmp_path / "b.mat", b)
     assert run(["verify", "--a", str(tmp_path / "a.mat"), "--b", str(tmp_path / "b.mat")]) == 0
+
+
+def defect_d_files(tmp_path):
+    """A 12x6 same-span pair B = AC with sigma_min / sigma_max of A at 1e-8,
+    saved for the CLI.  LU of A*B = A*A C crosses its pivot cutoff here, so
+    the left side comes out zero beside a positive right side."""
+    rng = np.random.default_rng(95)
+    u = np.linalg.qr(complex_normal(rng, 12, 12))[0][:, :6]
+    v = np.linalg.qr(complex_normal(rng, 6, 6))[0]
+    a = (u * np.logspace(0.0, -8.0, 6)) @ v
+    b = a @ complex_normal(rng, 6, 6)
+    assert classify_case(a, b) is CaseTag.FULL_RANK_SAME_SPAN
+    save_matrix(tmp_path / "a.mat", a)
+    save_matrix(tmp_path / "b.mat", b)
+    return ["verify", "--a", str(tmp_path / "a.mat"), "--b", str(tmp_path / "b.mat")]
+
+
+def test_equality_contract_rejects_a_zero_side_beside_a_positive_one():
+    report = CsReport(
+        case_tag=CaseTag.FULL_RANK_SAME_SPAN,
+        lhs_log=SignedLogDet.of_zero(),
+        rhs_log=SignedLogDet(1.0 + 0j, -193.6),
+        correlation=1.0,
+        relative_gap=1.0,
+        equality=True,
+        tol_used=1e-9,
+    )
+    with pytest.raises(InequalityViolation, match="relative gap is 1.0"):
+        enforce_equality_contract(report)
+
+
+def test_ill_conditioned_same_span_never_passes_with_a_zero_side(tmp_path, capsys):
+    # a FullRankSameSpan verdict promises both sides positive; printing a
+    # zero left side and exiting 0 would hide the broken LU
+    code = run(defect_d_files(tmp_path))
+    out = capsys.readouterr().out
+    assert not (code == 0 and "lhs log |det(A*MB)|^2: zero" in out), out
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the LU of A*B = A*A C crosses its pivot cutoff, so verify reports "
+    "a zero left side and exits 3",
+)
+def test_ill_conditioned_same_span_has_a_positive_left_side(tmp_path, capsys):
+    assert run(defect_d_files(tmp_path)) == 0
+    assert "lhs log |det(A*MB)|^2: zero" not in capsys.readouterr().out
