@@ -17,23 +17,16 @@ from .inequality import (
     ENSEMBLES,
     EQUALITY_TOL,
     CaseTag,
+    _column_norms,
     _correlated,
     _report,
     _verdict,
     classify_case,
-    column_norm_profile,
     enforce_equality_contract,
 )
-from .linalg import SubspaceBasis, cholesky_hpd, conj_transpose, log_det, matmul
+from .linalg import cholesky_hpd
 from .matrixio import load_matrix, save_matrix
-from .oracles import (
-    COFACTOR_MAX_N,
-    COSINE_PRODUCT_ATOL,
-    DET_AGREEMENT_RTOL,
-    ZERO_DET_RTOL,
-    det_cofactor,
-    principal_angle_cosines,
-)
+from .oracles import check_cosine_product, check_gram_dets, verdict_angles
 
 
 def _fmt(x: float) -> str:
@@ -46,56 +39,14 @@ def _load_operands(args):
     return a, b, cholesky_hpd(load_matrix(args.m)) if args.m else None
 
 
-def _check_gram_dets(v) -> None:
-    """Cross-check the LU determinant of each Gram product of the verdict's
-    pair against the cofactor oracle: A*MB, A*MA and B*MB from the whitened
-    pair, or the unweighted products of a wide pair, which the verdict does
-    not whiten (all three are singular either way).  Skipped silently above
-    the oracle's size guard."""
-    for x, y in ((v.a, v.b), (v.a, v.a), (v.b, v.b)):
-        mat = matmul(conj_transpose(x), y)
-        if mat.shape[0] > COFACTOR_MAX_N:
-            continue
-        lu = log_det(mat)
-        cof = det_cofactor(mat)
-        if lu.zero:
-            scale = max(1.0, float(abs(mat).max())) ** mat.shape[0]
-            if abs(cof) > ZERO_DET_RTOL * scale:
-                raise OracleError(
-                    f"LU flags a zero determinant but the cofactor oracle gives {cof!r}"
-                )
-            continue
-        if abs(lu.value() - cof) > DET_AGREEMENT_RTOL * abs(cof):
-            raise OracleError(
-                f"LU determinant {lu.value()!r} disagrees with cofactor oracle {cof!r}"
-            )
-
-
-def _bases(v):
-    """The orthonormal bases of the verdict's pivoted QRs; B's is the one
-    the verdict formed for Z.  Principal-angle cosines do not depend on
-    which bases span the two spaces."""
-    return SubspaceBasis(v.fa.basis()), SubspaceBasis(v.qb)
-
-
-def _check_cosine_product(product: float, correlation: float) -> None:
-    """Cross-check |det(Qa*Qb)| against the product of Jacobi principal-angle
-    cosines."""
-    if abs(product - correlation) > COSINE_PRODUCT_ATOL:
-        raise OracleError(
-            f"cosine product {product!r} disagrees with correlation {correlation!r}"
-        )
-
-
 def cmd_verify(args) -> int:
     v = _verdict(*_load_operands(args), args.tol)
     report = _report(v)
     enforce_equality_contract(report)
     if args.check:
-        _check_gram_dets(v)
+        check_gram_dets(v.a, v.b)
         if report.correlation is not None:
-            angles = principal_angle_cosines(*_bases(v))
-            _check_cosine_product(angles.correlation(), report.correlation)
+            check_cosine_product(verdict_angles(v.fa, v.qb).correlation(), report.correlation)
     if args.json:
         import json
 
@@ -141,16 +92,15 @@ def _report_record(report) -> dict:
 
 def cmd_correlate(args) -> int:
     v, correlation = _correlated(*_load_operands(args))
-    qa, qb = _bases(v)
-    profile = column_norm_profile(qa, qb)
+    profile = _column_norms(v.z[: v.a.shape[1]])  # Qa*Qb, the top rows of Z
     print(f"correlation: {_fmt(correlation)}")
     print("column norms: " + " ".join(_fmt(x) for x in profile))
     if args.check:
-        angles = principal_angle_cosines(qa, qb)
+        angles = verdict_angles(v.fa, v.qb)
         print("oracle cosines: " + " ".join(_fmt(c) for c in angles.cosines))
         product = angles.correlation()
         print(f"oracle product: {_fmt(product)}")
-        _check_cosine_product(product, correlation)
+        check_cosine_product(product, correlation)
     return 0
 
 

@@ -238,12 +238,11 @@ def _verdict(a, b, m_fac: HpdFactor | None, tol: float) -> _Verdict:
 
 def _correlated(a, b, m_fac: HpdFactor | None) -> tuple[_Verdict, float]:
     """The one pass over a tall pair of full column rank, with its
-    correlation; any other pair raises before or after the pass."""
-    a, b = _same_shape(a, b)
-    m, n = a.shape
+    correlation; any other pair raises after the pass."""
+    v = _verdict(a, b, m_fac, EQUALITY_TOL)
+    m, n = v.a.shape
     if m <= n:
         raise WrongRegime(f"correlation is defined only for m > n, got {m} x {n}")
-    v = _verdict(a, b, m_fac, EQUALITY_TOL)
     if v.z is None:
         raise RankDeficient(
             f"columns are linearly dependent within tolerance {RANK_TOL:g}",
@@ -275,14 +274,16 @@ def column_norm_profile(u: SubspaceBasis, v: SubspaceBasis) -> list[float]:
     m, n = u.shape
     if m <= n:
         raise WrongRegime(f"profile is defined only for m > n, got {m} x {n}")
-    w = matmul(conj_transpose(u.ortho), v.ortho)
+    return _column_norms(matmul(conj_transpose(u.ortho), v.ortho))
+
+
+def _column_norms(w: np.ndarray) -> list[float]:
+    """Column norms of an overlap U*V, such as the verdict's Z[:n] = Qa*Qb."""
     profile = []
-    for j in range(n):
+    for j in range(w.shape[1]):
         norm = math.sqrt(float((np.abs(w[:, j]) ** 2).sum()))
         if norm > 1.0 + UNIT_SLACK:
-            raise InequalityViolation(
-                f"column {j} of U*V has norm {norm!r} > 1 + {UNIT_SLACK:g}"
-            )
+            raise InequalityViolation(f"column {j} of U*V has norm {norm!r} > 1 + {UNIT_SLACK:g}")
         profile.append(norm)
     return profile
 

@@ -3,7 +3,7 @@
 Everything here favors obviousness over speed: Laplace expansion for
 determinants, a bare triple loop for products, and cyclic Jacobi rotations
 for hermitian eigenvalues.  Scale guards keep the exponential-cost paths from
-silently dominating a test run.
+silently dominating a test run.  The ``--check`` comparisons live here, by their bounds.
 """
 
 from __future__ import annotations
@@ -17,10 +17,12 @@ import numpy as np
 from .errors import OracleError, WrongRegime
 from .linalg import (
     UNIT_SLACK,
+    ColumnFactors,
     SubspaceBasis,
     as_matrix,
     conj_transpose,
     frobenius_norm,
+    log_det,
     matmul,
 )
 
@@ -150,10 +152,7 @@ class PrincipalAngles(NamedTuple):
     cosines: tuple[float, ...]
 
     def correlation(self) -> float:
-        out = 1.0
-        for c in self.cosines:
-            out *= c
-        return out
+        return math.prod(self.cosines, start=1.0)
 
 
 def principal_angle_cosines(qa: SubspaceBasis, qb: SubspaceBasis) -> PrincipalAngles:
@@ -172,6 +171,45 @@ def principal_angle_cosines(qa: SubspaceBasis, qb: SubspaceBasis) -> PrincipalAn
             raise OracleError(f"squared cosine {e!r} exceeds 1 + {UNIT_SLACK:g}")
         cosines.append(math.sqrt(e) if e > 0.0 else 0.0)
     return PrincipalAngles(cosines=tuple(cosines))
+
+
+def check_gram_dets(a: np.ndarray, b: np.ndarray) -> None:
+    """Cross-check the LU determinant of each Gram product of a verdict's pair
+    against the cofactor oracle: A*MB, A*MA and B*MB of the whitened pair, or
+    of a wide pair, which the verdict does not whiten (all three are then
+    singular).  Skipped silently above the oracle's size guard."""
+    for x, y in ((a, b), (a, a), (b, b)):
+        mat = matmul(conj_transpose(x), y)
+        if mat.shape[0] > COFACTOR_MAX_N:
+            continue
+        lu = log_det(mat)
+        cof = det_cofactor(mat)
+        if lu.zero:
+            scale = max(1.0, float(abs(mat).max())) ** mat.shape[0]
+            if abs(cof) > ZERO_DET_RTOL * scale:
+                raise OracleError(
+                    f"LU flags a zero determinant but the cofactor oracle gives {cof!r}"
+                )
+            continue
+        if abs(lu.value() - cof) > DET_AGREEMENT_RTOL * abs(cof):
+            raise OracleError(
+                f"LU determinant {lu.value()!r} disagrees with cofactor oracle {cof!r}"
+            )
+
+
+def verdict_angles(fa: ColumnFactors, qb: np.ndarray) -> PrincipalAngles:
+    """Jacobi principal angles on the bases of a verdict's pivoted QRs: A's,
+    formed here, and Qb; the cosines do not depend on the bases chosen."""
+    return principal_angle_cosines(SubspaceBasis(fa.basis()), SubspaceBasis(qb))
+
+
+def check_cosine_product(product: float, correlation: float) -> None:
+    """Cross-check |det(Qa*Qb)| against the product of Jacobi principal-angle
+    cosines."""
+    if abs(product - correlation) > COSINE_PRODUCT_ATOL:
+        raise OracleError(
+            f"cosine product {product!r} disagrees with correlation {correlation!r}"
+        )
 
 
 class BilinearityWitness(NamedTuple):

@@ -2,7 +2,9 @@
 
 import inspect
 import json
+import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -10,7 +12,17 @@ import numpy as np
 import pytest
 
 import detcs
-from detcs import conj_transpose, fuzz, inequality, linalg, matmul, save_matrix
+from detcs import (
+    SignedLogDet,
+    cli,
+    conj_transpose,
+    fuzz,
+    inequality,
+    linalg,
+    matmul,
+    oracles,
+    save_matrix,
+)
 from detcs.cli import run
 from detcs.fuzz import complex_normal
 
@@ -155,19 +167,119 @@ def test_check_whitens_and_factors_once(tall_files, count_calls, capsys):
     calls = count_calls(inequality, "_whiten", "factor_lanes")
     # any other Householder pass, or a factorization asked of linalg itself
     count_calls(linalg, "factor_lanes", "_householder")
-    # B's basis is formed once, for Z, and A's once, for the oracles
+    # B's basis is formed once, for Z, and A's once, for the oracles only
     count_calls(linalg.ColumnFactors, "basis")
     operands = ["--a", tall_files["a"], "--b", tall_files["strict"], "--m", tall_files["m"]]
-    for argv in (["verify", "--check"], ["correlate", "--check"], ["correlate"]):
+    for argv, bases in (["verify", "--check"], 2), (["correlate", "--check"], 2), (["correlate"], 1):
         calls.clear()
         assert run([*argv, *operands]) == 0
         assert calls == {
             "_whiten": 1,
             "factor_lanes": 1,
             "_householder": 1,
-            "basis": 2,
+            "basis": bases,
         }, argv
     capsys.readouterr()
+
+
+def test_plain_correlate_reads_the_verdicts_overlap(tall_files, count_calls, capsys):
+    # the column norms are read from Z[:n] = Qa*Qb: no product is formed
+    # outside the verdict, no basis of A is formed, and each operand is
+    # validated once
+    calls = count_calls(inequality, "as_matrix", "matmul")
+    count_calls(linalg, "matmul")
+    count_calls(oracles, "matmul")
+    count_calls(linalg.ColumnFactors, "basis")
+    operands = ["--a", tall_files["a"], "--b", tall_files["strict"], "--m", tall_files["m"]]
+    assert run(["correlate", *operands]) == 0
+    assert calls == {"as_matrix": 2, "basis": 1}
+    capsys.readouterr()
+
+
+def test_check_policy_lives_beside_its_bounds():
+    # the --check agreement bounds are read only in detcs.oracles, next to
+    # the comparisons that read them; the CLI calls those comparisons and
+    # binds no bound, and no determinant or product kernel of its own
+    bounds = ("COFACTOR_MAX_N", "DET_AGREEMENT_RTOL", "ZERO_DET_RTOL", "COSINE_PRODUCT_ATOL")
+    for path in pathlib.Path(detcs.__file__).parent.glob("*.py"):
+        if path.name != "oracles.py":
+            text = path.read_text()
+            assert [b for b in bounds[1:] if b in text] == [], path.name
+    assert not set(bounds) & set(vars(cli))
+    kernels = (oracles.det_cofactor, linalg.log_det, linalg.matmul, linalg.conj_transpose)
+    bound = [value for value in vars(cli).values() if any(value is k for k in kernels)]
+    assert bound == []
+
+
+def shift_log_det(monkeypatch, shift):
+    """Move every LU determinant the oracle checks read by ``shift`` in log."""
+    original = oracles.log_det
+
+    def shifted(mat):
+        d = original(mat)
+        return d._replace(log_magnitude=d.log_magnitude + shift)
+
+    monkeypatch.setattr(oracles, "log_det", shifted)
+
+
+def test_check_fails_on_an_lu_determinant_off_by_1e_7(tall_files, monkeypatch, capsys):
+    shift_log_det(monkeypatch, math.log1p(1e-7))
+    assert run(["verify", "--check", "--a", tall_files["a"], "--b", tall_files["strict"]]) == 3
+    assert "disagrees with cofactor oracle" in capsys.readouterr().err
+
+
+def test_check_fails_on_an_lu_zero_flag(tall_files, monkeypatch, capsys):
+    # every Gram product of a strict pair is nonsingular
+    monkeypatch.setattr(oracles, "log_det", lambda mat: SignedLogDet.of_zero())
+    assert run(["verify", "--check", "--a", tall_files["a"], "--b", tall_files["strict"]]) == 3
+    assert "LU flags a zero determinant" in capsys.readouterr().err
+
+
+def test_check_fails_on_scaled_cosines(tall_files, monkeypatch, capsys):
+    original = oracles.principal_angle_cosines
+
+    def scaled(qa, qb):
+        angles = original(qa, qb)
+        return angles._replace(cosines=tuple(c * (1.0 - 1e-6) for c in angles.cosines))
+
+    monkeypatch.setattr(oracles, "principal_angle_cosines", scaled)
+    for command in ("verify", "correlate"):
+        argv = [command, "--check", "--a", tall_files["a"], "--b", tall_files["strict"]]
+        assert run(argv) == 3, command
+        assert "cosine product" in capsys.readouterr().err
+
+
+def test_check_skips_determinants_above_the_cofactor_limit(tmp_path, count_calls, monkeypatch):
+    # the Gram products of a 12 x 7 pair are past the cofactor oracle's
+    # limit, so not even a broken LU is compared with it
+    n = oracles.COFACTOR_MAX_N + 1
+    rng = np.random.default_rng(82)
+    for name in "ab":
+        save_matrix(tmp_path / f"{name}.mat", complex_normal(rng, 12, n))
+    shift_log_det(monkeypatch, math.log1p(1e-7))
+    calls = count_calls(oracles, "det_cofactor", "log_det")
+    argv = ["verify", "--check", "--a", str(tmp_path / "a.mat"), "--b", str(tmp_path / "b.mat")]
+    assert run(argv) == 0
+    assert calls == {}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="--check compares no oracle with the right side: its cofactor checks of "
+    "A*A and B*B audit an LU the verdict never runs, since rhs comes from R, and "
+    "a bound for that comparison must grow like the squared condition number "
+    "(ROADMAP item 6)",
+)
+def test_check_audits_the_right_side(tall_files, monkeypatch, capsys):
+    original = inequality._gram_log_det
+
+    def inflated(f):
+        d = original(f)
+        return d._replace(log_magnitude=d.log_magnitude + 1e-3)
+
+    monkeypatch.setattr(inequality, "_gram_log_det", inflated)
+    argv = ["verify", "--check", "--json", "--a", tall_files["a"], "--b", tall_files["strict"]]
+    assert run(argv) == 3
 
 
 def test_correlate_half_tilted_plane(files, capsys):

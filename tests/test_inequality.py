@@ -202,6 +202,16 @@ def test_det_correlation_regime_and_rank_errors():
         det_correlation(deficient, complex_normal(rng, 5, 2))
 
 
+def test_det_correlation_validates_each_operand_once(count_calls):
+    calls = count_calls(inequality, "as_matrix")
+    rng = np.random.default_rng(48)
+    a, b = complex_normal(rng, 12, 6), complex_normal(rng, 12, 6)
+    for weight in (None, hpd(rng, 12)):
+        calls.clear()
+        det_correlation(a, b, weight)
+        assert calls == {"as_matrix": 2}
+
+
 def test_column_norm_profile_identical():
     rng = np.random.default_rng(50)
     u = SubspaceBasis(factor_columns(complex_normal(rng, 6, 3)).basis())
@@ -608,6 +618,39 @@ def test_tilt_sweep_keeps_equality_contract():
         elif theta**2 > 0.6e-9:
             assert report.case_tag is CaseTag.FULL_RANK_STRICT
     assert tags[CaseTag.FULL_RANK_SAME_SPAN] and tags[CaseTag.FULL_RANK_STRICT]
+
+
+def test_correlate_reads_column_norms_from_z(tmp_path, capsys):
+    # correlate prints the column norms of the verdict's Z[:n] = Qa*Qb; they
+    # match column_norm_profile on explicitly formed and validated bases of
+    # the whitened pair (Qb the same pivoted basis, Qa any basis of A's
+    # span), and their product bounds the correlation (Hadamard)
+    rng = np.random.default_rng(96)
+    m, n = 12, 6
+    for kind in ("generic", "same span", "tilted"):
+        for weighted in (False, True):
+            if kind == "generic":
+                a, b = complex_normal(rng, m, n), complex_normal(rng, m, n)
+            elif kind == "same span":
+                a = complex_normal(rng, m, n)
+                b = matmul(a, complex_normal(rng, n, n))
+            else:
+                a, b = tilted_pair(rng, m, n, 1e-4)
+            save_matrix(tmp_path / "a.mat", a)
+            save_matrix(tmp_path / "b.mat", b)
+            argv = ["correlate", "--a", str(tmp_path / "a.mat"), "--b", str(tmp_path / "b.mat")]
+            if weighted:
+                fac = hpd(rng, m)
+                save_matrix(tmp_path / "m.mat", fac.m_matrix)
+                argv += ["--m", str(tmp_path / "m.mat")]
+                a, b = whitened_pair(a, b, fac)
+            assert run(argv) == 0
+            correlation, norms = capsys.readouterr().out.splitlines()
+            correlation = float(correlation.removeprefix("correlation: "))
+            norms = [float(x) for x in norms.removeprefix("column norms: ").split()]
+            qa, qb = (SubspaceBasis(factor_columns(x).basis()) for x in (a, b))
+            assert_allclose(norms, column_norm_profile(qa, qb), rtol=0, atol=1e-15)
+            assert correlation <= math.prod(norms) * (1.0 + 1e-14), (kind, weighted)
 
 
 @pytest.mark.xfail(

@@ -406,9 +406,11 @@ def test_two_lane_factorization_matches_each_lane_alone():
 
 def test_verdict_modules_call_no_numpy_linalg():
     # numpy.linalg hands complex input to BLAS, whose summation order
-    # depends on the CPU kernel and the thread count
+    # depends on the CPU kernel and the thread count; so do numpy's matrix
+    # products, which only linalg.py still calls (ROADMAP item 2)
     src = pathlib.Path(linalg.__file__).parent
-    for name in ("linalg.py", "inequality.py", "fuzz.py"):
+    product_free = ("inequality.py", "fuzz.py", "oracles.py", "cli.py", "matrixio.py")
+    for name in ("linalg.py", *product_free):
         tree = ast.parse((src / name).read_text())
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute):
@@ -416,3 +418,12 @@ def test_verdict_modules_call_no_numpy_linalg():
             elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
                 imported = [node.module] + [alias.name for alias in node.names]
                 assert not any("linalg" in x for x in imported), (name, node.lineno)
+        if name not in product_free:
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in ("dot", "matmul"), (name, node.lineno)
+            elif isinstance(node, (ast.BinOp, ast.AugAssign)):
+                assert not isinstance(node.op, ast.MatMult), (name, node.lineno)
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+                assert not {"dot", "matmul"} & {a.name for a in node.names}, (name, node.lineno)
