@@ -23,10 +23,6 @@ RANK_TOL = 1e-10          # pivoted-QR diagonal cutoff, relative to the largest
 ORTHO_TOL = 1e-11         # Frobenius deviation allowed in Q*Q - I
 UNIT_SLACK = 1e-10        # a computed cosine, correlation or column norm may exceed 1 by this
 
-# Complex entries in one matmul temporary (256 KiB); the block size changes
-# the cost of a product and the memory it holds, never its bits.
-MATMUL_BLOCK = 1 << 14
-
 
 def as_matrix(entries) -> np.ndarray:
     """Coerce ``entries`` to a 2-D complex128 matrix, rejecting NaN/Inf."""
@@ -45,22 +41,17 @@ def as_matrix(entries) -> np.ndarray:
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product with a fixed left-to-right accumulation over the inner index.
 
-    Rows go in blocks whose products a_ik b_kj fit a bounded temporary, and
-    each block adds them up over k in order.  The sum runs on the float64
-    view, so its innermost axis pairs real and imaginary parts and is never
-    the k axis, which numpy would sum pairwise.
+    The sum starts at +0, so a sum of -0 terms is +0, and adds the rank-one
+    term a[:, k] b[k, :] for k = 0, 1, ... in order: it holds one term the
+    size of the output at a time.
     """
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"cannot multiply shapes {a.shape} and {b.shape}")
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
-    m, inner = a.shape
-    out = np.empty((m, b.shape[1]), dtype=np.complex128)
-    flat = out.view(np.float64)
-    rows = max(1, MATMUL_BLOCK // max(1, inner * b.shape[1]))
-    for i in range(0, m, rows):
-        terms = a[i : i + rows, :, None] * b[None]
-        np.sum(terms.view(np.float64), axis=1, out=flat[i : i + rows])
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.complex128)
+    for k in range(a.shape[1]):
+        out += a[:, k : k + 1] * b[k : k + 1]
     return out
 
 

@@ -177,11 +177,13 @@ def check_gram_dets(a: np.ndarray, b: np.ndarray) -> None:
     """Cross-check the LU determinant of each Gram product of a verdict's pair
     against the cofactor oracle: A*MB, A*MA and B*MB of the whitened pair, or
     of a wide pair, which the verdict does not whiten (all three are then
-    singular).  Skipped silently above the oracle's size guard."""
+    singular).  Skipped silently, before any product, above the oracle's
+    size guard: the pair shares its column count n, and each product is
+    n x n."""
+    if a.shape[1] > COFACTOR_MAX_N:
+        return
     for x, y in ((a, b), (a, a), (b, b)):
         mat = matmul(conj_transpose(x), y)
-        if mat.shape[0] > COFACTOR_MAX_N:
-            continue
         lu = log_det(mat)
         cof = det_cofactor(mat)
         if lu.zero:

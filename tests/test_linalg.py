@@ -4,6 +4,7 @@ import ast
 import copy
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,21 +71,43 @@ def k_loop_product(a, b):
     return out
 
 
-def test_matmul_equals_plain_k_loop(monkeypatch):
+def same_bits(x, y):
+    """Equal shapes and bit patterns, so -0 and +0 differ."""
+    return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+def test_matmul_equals_plain_k_loop():
     rng = np.random.default_rng(12)
     shapes = [(1, 1, 1), (1, 9, 1), (7, 20, 1), (1, 20, 6), (5, 1, 5), (4, 8, 4), (64, 64, 64)]
-    # 64 x 64 x 64 runs in blocks of this many rows; these shapes sit on
-    # both sides of a block boundary
-    rows = linalg.MATMUL_BLOCK // (64 * 64)
-    assert rows > 1
-    shapes += [(rows - 1, 64, 64), (rows, 64, 64), (rows + 1, 64, 64), (2 * rows + 1, 64, 64)]
+    shapes += [(15, 64, 64), (16, 64, 64), (17, 64, 64), (33, 64, 64)]
+    shapes += [(7, 12, 1), (5, 4, 3), (6, 4, 3), (9, 3, 8), (3, 30, 1)]
     for m, k, n in shapes:
         a, b = complex_normal(rng, m, k), complex_normal(rng, k, n)
-        assert np.array_equal(matmul(a, b), k_loop_product(a, b)), (m, k, n)
-    monkeypatch.setattr(linalg, "MATMUL_BLOCK", 24)
-    for m, k, n in [(7, 12, 1), (5, 4, 3), (6, 4, 3), (9, 3, 8), (3, 30, 1)]:
-        a, b = complex_normal(rng, m, k), complex_normal(rng, k, n)
-        assert np.array_equal(matmul(a, b), k_loop_product(a, b)), (m, k, n)
+        assert same_bits(matmul(a, b), k_loop_product(a, b)), (m, k, n)
+    # mostly zeros of either sign: the sum starts at +0, so a sum of -0
+    # terms is +0, as in the reference
+    signed_zeros = np.array([0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 1.5, -2.0])
+    for m, k, n in [(1, 1, 1), (3, 5, 2), (6, 4, 7), (8, 8, 8)]:
+        parts = [rng.choice(signed_zeros, shape) for shape in [(m, k)] * 2 + [(k, n)] * 2]
+        a, b = parts[0] + 1j * parts[1], parts[2] + 1j * parts[3]
+        assert same_bits(matmul(a, b), k_loop_product(a, b)), (m, k, n)
+    for m, k, n in [(3, 0, 4), (0, 5, 2)]:
+        out = matmul(np.ones((m, k), dtype=complex), np.ones((k, n), dtype=complex))
+        assert same_bits(out, np.zeros((m, n), dtype=complex)), (m, k, n)
+
+
+def test_matmul_holds_one_term_not_one_per_inner_index():
+    # a 32 x 64 x 32 product holds its output and one rank-one term, not
+    # the 64 terms of every entry at once
+    rng = np.random.default_rng(13)
+    a, b = complex_normal(rng, 32, 64), complex_normal(rng, 64, 32)
+    tracemalloc.start()
+    try:
+        out = matmul(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * out.nbytes, (peak, out.nbytes)
 
 
 def test_matmul_shape_mismatch():

@@ -13,10 +13,13 @@ from detcs import (
     det_correlation,
     log_det,
     matmul,
+    oracles,
 )
 from detcs.fuzz import complex_normal
 from detcs.linalg import factor_columns
 from detcs.oracles import (
+    COFACTOR_MAX_N,
+    check_gram_dets,
     det_cofactor,
     find_bilinearity_counterexample,
     hermitian_eigenvalues,
@@ -186,3 +189,16 @@ def test_bilinearity_search_is_deterministic():
     assert np.array_equal(w1.a2, w2.a2)
     assert np.array_equal(w1.b, w2.b)
     assert w1.discrepancy == w2.discrepancy
+
+
+def test_gram_check_forms_no_product_past_the_cofactor_limit(count_calls):
+    # the size guard reads the pair's column count before any product: at
+    # 64 x 32 nothing is formed, at the limit all three Gram products are
+    # formed and checked
+    rng = np.random.default_rng(63)
+    calls = count_calls(oracles, "matmul", "log_det", "det_cofactor")
+    checked = {"matmul": 3, "log_det": 3, "det_cofactor": 3}
+    for m, n, expected in (64, 32, {}), (12, COFACTOR_MAX_N + 1, {}), (12, COFACTOR_MAX_N, checked):
+        calls.clear()
+        check_gram_dets(complex_normal(rng, m, n), complex_normal(rng, m, n))
+        assert calls == expected, (m, n)
