@@ -44,7 +44,7 @@ def cmd_verify(args) -> int:
     report = _report(v)
     enforce_equality_contract(report)
     if args.check:
-        check_gram_dets(v.a, v.b)
+        check_gram_dets(v.a, v.b, report.lhs_log, report.rhs_log)
         if report.correlation is not None:
             check_cosine_product(verdict_angles(v.fa, v.qb).correlation(), report.correlation)
     if args.json:

@@ -23,6 +23,7 @@ from .inequality import (
     EQUALITY_TOL,
     CaseTag,
     CsReport,
+    _check_tol,
     enforce_equality_contract,
     verify_inequality,
 )
@@ -52,8 +53,9 @@ class FuzzConfig:
             raise ValueError(
                 f"unknown ensemble(s) {unknown}; choose from {', '.join(ENSEMBLES)}"
             )
-        if not self.tol > 0.0:
-            raise ValueError("tolerance must be positive")
+        if len(set(self.ensembles)) < len(self.ensembles):
+            raise ValueError(f"each ensemble may be named once, got {', '.join(self.ensembles)}")
+        _check_tol(self.tol)
 
 
 @dataclass(frozen=True)

@@ -151,26 +151,6 @@ def _operands(a, b, m_fac: HpdFactor | None):
     return (a, b) if m < n else _whiten(a, b, w)
 
 
-def _factor_pair(a: np.ndarray, b: np.ndarray):
-    """Both (whitened) m x n operands through one two-lane pivoted QR and,
-    when m > n and both have full column rank, B's basis Qb and
-    Z = Qa* Qb for A's full m x m Q (both None otherwise).
-
-    Only B's basis is formed; A's reflectors are applied to it.  The top n
-    rows of Z are Qa*Qb for A's basis Qa, whose singular values are the
-    principal-angle cosines whichever bases the QRs chose.  The bottom
-    m - n rows project Qb onto the complement of span(A), and their squared
-    Frobenius norm is the sum of squared principal sines (Bjorck & Golub,
-    1973).
-    """
-    fa, fb = factor_lanes((a, b))
-    m, n = a.shape
-    if m == n or min(fa.rank, fb.rank) < n:
-        return fa, fb, None, None
-    qb = fb.basis()
-    return fa, fb, qb, fa.adjoint_apply(qb)
-
-
 def _spans_match(z: np.ndarray, n: int, tol: float) -> bool:
     """The sum of squared principal sines, |Z[n:]|_F^2, is at most tol / 2.
 
@@ -202,7 +182,7 @@ class _Verdict(NamedTuple):
     """One pass over an (A, B, M) instance, which every front end reads: the
     regime, the tolerance it was decided at, the pair the verdict reads
     (whitened when weighted, except a wide pair), and that pair's
-    ``_factor_pair``: both pivoted QRs, Qb and Z.  The factors are None for
+    factors: both pivoted QRs, Qb and Z.  The factors are None for
     a wide pair, which shape alone settles, and Qb and Z are None unless
     the pair is tall with full column rank."""
 
@@ -216,23 +196,37 @@ class _Verdict(NamedTuple):
     z: np.ndarray | None
 
 
+def _check_tol(tol: float) -> None:
+    """The one rule for an equality or span tolerance: positive and finite."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tolerance must be positive and finite")
+
+
 def _verdict(a, b, m_fac: HpdFactor | None, tol: float) -> _Verdict:
-    """Whiten and factor an (A, B, M) instance once, and read its regime."""
+    """Whiten and factor an (A, B, M) instance once, and read its regime.
+
+    Both (whitened) m x n operands go through one two-lane pivoted QR.  Only
+    a tall pair of full column rank forms B's basis Qb and Z = Qa* Qb for
+    A's full m x m Q: A's reflectors are applied to Qb.  The top n rows of
+    Z are Qa*Qb for A's basis Qa, whose singular values are the
+    principal-angle cosines whichever bases the QRs chose.  The bottom
+    m - n rows project Qb onto the complement of span(A), and their squared
+    Frobenius norm is the sum of squared principal sines (Bjorck & Golub,
+    1973).
+    """
     a, b = _operands(a, b, m_fac)
-    if not tol > 0.0:
-        raise ValueError("tolerance must be positive")
+    _check_tol(tol)
     m, n = a.shape
     if m < n:
         return _Verdict(CaseTag.WIDE_EQUAL_ZERO, tol, a, b, None, None, None, None)
-    fa, fb, qb, z = _factor_pair(a, b)
+    fa, fb = factor_lanes((a, b))
     if m == n:
-        tag = CaseTag.SQUARE_EQUAL
-    elif z is None:
-        tag = CaseTag.RANK_DEFICIENT_ZERO
-    elif _spans_match(z, n, tol):
-        tag = CaseTag.FULL_RANK_SAME_SPAN
-    else:
-        tag = CaseTag.FULL_RANK_STRICT
+        return _Verdict(CaseTag.SQUARE_EQUAL, tol, a, b, fa, fb, None, None)
+    if min(fa.rank, fb.rank) < n:
+        return _Verdict(CaseTag.RANK_DEFICIENT_ZERO, tol, a, b, fa, fb, None, None)
+    qb = fb.basis()
+    z = fa.adjoint_apply(qb)
+    tag = CaseTag.FULL_RANK_SAME_SPAN if _spans_match(z, n, tol) else CaseTag.FULL_RANK_STRICT
     return _Verdict(tag, tol, a, b, fa, fb, qb, z)
 
 

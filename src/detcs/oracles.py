@@ -18,11 +18,11 @@ from .errors import OracleError, WrongRegime
 from .linalg import (
     UNIT_SLACK,
     ColumnFactors,
+    SignedLogDet,
     SubspaceBasis,
     as_matrix,
     conj_transpose,
     frobenius_norm,
-    log_det,
     matmul,
 )
 
@@ -30,8 +30,8 @@ COFACTOR_MAX_N = 6        # Laplace expansion is exponential in n, refuse beyond
 # How far an oracle may disagree with the verdict path under --check.  These
 # bound the agreement of two routes to one number in floating point; they do
 # not follow --tol, which is the equality tolerance of the verdict itself.
-DET_AGREEMENT_RTOL = 1e-9   # |LU det - cofactor det|, relative to the cofactor det
-ZERO_DET_RTOL = 1e-8        # |cofactor det| beside an LU zero flag, relative to scale^n
+DET_AGREEMENT_RTOL = 1e-9   # per determinant of a side, relative to the cofactor det
+ZERO_DET_RTOL = 1e-8        # |cofactor det| beside a side flagged zero, relative to scale^n
 COSINE_PRODUCT_ATOL = 1e-9  # |Jacobi cosine product - correlation|
 JACOBI_OFFDIAG_TOL = 1e-13  # stop when every off-diagonal magnitude is below tol * trace
 JACOBI_MAX_SWEEPS = 60
@@ -173,30 +173,29 @@ def principal_angle_cosines(qa: SubspaceBasis, qb: SubspaceBasis) -> PrincipalAn
     return PrincipalAngles(cosines=tuple(cosines))
 
 
-def check_gram_dets(a: np.ndarray, b: np.ndarray) -> None:
-    """Cross-check the LU determinant of each Gram product of a verdict's pair
-    against the cofactor oracle: A*MB, A*MA and B*MB of the whitened pair, or
-    of a wide pair, which the verdict does not whiten (all three are then
-    singular).  Skipped silently, before any product, above the oracle's
-    size guard: the pair shares its column count n, and each product is
-    n x n."""
-    if a.shape[1] > COFACTOR_MAX_N:
+def check_gram_dets(a: np.ndarray, b: np.ndarray, lhs: SignedLogDet, rhs: SignedLogDet) -> None:
+    """Audit a verdict's sides, lhs = |det(A*MB)|^2 and rhs = det(A*MA) det(B*MB),
+    against cofactor determinants of its pair's Gram products (the pair is
+    whitened, or wide).  A side is a product of two determinants, so its
+    square root must match their geometric mean within DET_AGREEMENT_RTOL, or,
+    flagged zero, the smaller one must be below ZERO_DET_RTOL * scale^n.
+    Skipped before any product above the size guard: each product is n x n."""
+    n = a.shape[1]
+    if n > COFACTOR_MAX_N:
         return
-    for x, y in ((a, b), (a, a), (b, b)):
-        mat = matmul(conj_transpose(x), y)
-        lu = log_det(mat)
-        cof = det_cofactor(mat)
-        if lu.zero:
-            scale = max(1.0, float(abs(mat).max())) ** mat.shape[0]
-            if abs(cof) > ZERO_DET_RTOL * scale:
-                raise OracleError(
-                    f"LU flags a zero determinant but the cofactor oracle gives {cof!r}"
-                )
+    ab, aa, bb = (matmul(conj_transpose(x), y) for x, y in ((a, b), (a, a), (b, b)))
+    cross = (ab, det_cofactor(ab))
+    grams = ((aa, det_cofactor(aa)), (bb, det_cofactor(bb)))
+    for name, side, pair in ("lhs", lhs, (cross, cross)), ("rhs", rhs, grams):
+        if side.zero:
+            least = min(abs(det) / max(1.0, float(abs(mat).max())) ** n for mat, det in pair)
+            if least > ZERO_DET_RTOL:
+                raise OracleError(f"{name} is zero but each cofactor det is >= {least!r} * scale^n")
             continue
-        if abs(lu.value() - cof) > DET_AGREEMENT_RTOL * abs(cof):
-            raise OracleError(
-                f"LU determinant {lu.value()!r} disagrees with cofactor oracle {cof!r}"
-            )
+        root = math.exp(0.5 * side.log_magnitude)
+        mean = math.sqrt(abs(pair[0][1]) * abs(pair[1][1]))
+        if abs(root - mean) > DET_AGREEMENT_RTOL * mean:
+            raise OracleError(f"sqrt({name}) {root!r} disagrees with cofactor oracle {mean!r}")
 
 
 def verdict_angles(fa: ColumnFactors, qb: np.ndarray) -> PrincipalAngles:

@@ -24,7 +24,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         FuzzConfig(trials=1, seed=0, ensembles=("ginibre", "cauchy"))
     with pytest.raises(ValueError):
-        FuzzConfig(trials=1, seed=0, tol=0.0)
+        FuzzConfig(trials=1, seed=0, ensembles=("ginibre", "ginibre"))
+    for tol in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            FuzzConfig(trials=1, seed=0, tol=tol)
 
 
 def test_trial_streams_are_reproducible_and_subset_independent():

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 
 from detcs import (
     CaseTag,
+    EQUALITY_TOL,
     CsReport,
     InequalityViolation,
     RankDeficient,
@@ -276,9 +277,10 @@ def test_classify_edge_inputs_and_bad_tol():
     assert classify_case(wide, wide) is CaseTag.WIDE_EQUAL_ZERO
     square = complex_normal(rng, 3, 3)
     tall = complex_normal(rng, 4, 2)
-    # a tolerance that is not positive is refused before the shape decides
+    # a tolerance that is not positive and finite is refused before the
+    # shape decides
     for a, b in [(wide, wide), (square, square), (tall, tall)]:
-        for tol in (0.0, -1.0, float("nan")):
+        for tol in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 classify_case(a, b, tol=tol)
 
@@ -556,7 +558,7 @@ def test_complement_block_gives_sines_and_overlap():
                     a, b = tilted_pair(rng, m, n, kind)
                 if weighted:
                     a, b = whitened_pair(a, b, hpd(rng, m))
-                *_, z = inequality._factor_pair(a, b)
+                z = inequality._verdict(a, b, None, EQUALITY_TOL).z
                 qa, qb = factor_columns(a).basis(), factor_columns(b).basis()
                 residual = qb - matmul(qa, matmul(conj_transpose(qa), qb))
                 sines = float((np.abs(z[n:]) ** 2).sum())

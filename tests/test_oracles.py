@@ -6,19 +6,24 @@ import pytest
 from numpy.testing import assert_allclose
 
 from detcs import (
+    ENSEMBLES,
+    EQUALITY_TOL,
     OracleError,
     SubspaceBasis,
     WrongRegime,
     conj_transpose,
     det_correlation,
+    inequality,
     log_det,
     matmul,
     oracles,
+    verify_inequality,
 )
-from detcs.fuzz import complex_normal
+from detcs.fuzz import complex_normal, draw_instance, trial_rng
 from detcs.linalg import factor_columns
 from detcs.oracles import (
     COFACTOR_MAX_N,
+    check_cosine_product,
     check_gram_dets,
     det_cofactor,
     find_bilinearity_counterexample,
@@ -26,6 +31,7 @@ from detcs.oracles import (
     jacobi_sweep,
     matmul_naive,
     principal_angle_cosines,
+    verdict_angles,
 )
 
 
@@ -194,11 +200,28 @@ def test_bilinearity_search_is_deterministic():
 def test_gram_check_forms_no_product_past_the_cofactor_limit(count_calls):
     # the size guard reads the pair's column count before any product: at
     # 64 x 32 nothing is formed, at the limit all three Gram products are
-    # formed and checked
+    # formed once and checked, and no LU runs
     rng = np.random.default_rng(63)
-    calls = count_calls(oracles, "matmul", "log_det", "det_cofactor")
-    checked = {"matmul": 3, "log_det": 3, "det_cofactor": 3}
+    calls = count_calls(oracles, "matmul", "det_cofactor")
+    checked = {"matmul": 3, "det_cofactor": 3}
     for m, n, expected in (64, 32, {}), (12, COFACTOR_MAX_N + 1, {}), (12, COFACTOR_MAX_N, checked):
+        a, b = complex_normal(rng, m, n), complex_normal(rng, m, n)
+        report = verify_inequality(a, b)
         calls.clear()
-        check_gram_dets(complex_normal(rng, m, n), complex_normal(rng, m, n))
+        check_gram_dets(a, b, report.lhs_log, report.rhs_log)
         assert calls == expected, (m, n)
+
+
+def test_gram_check_passes_fuzz_traffic():
+    # the audit of verify --check on the first 250 draws of each ensemble at
+    # seed 7, wherever the cofactor oracle reaches (n <= 6)
+    for ensemble in ENSEMBLES:
+        for trial in range(250):
+            inst = draw_instance(ensemble, trial_rng(7, ensemble, trial), 8, 8)
+            if inst.a.shape[1] > COFACTOR_MAX_N:
+                continue
+            v = inequality._verdict(inst.a, inst.b, inst.m_fac, EQUALITY_TOL)
+            report = inequality._report(v)
+            check_gram_dets(v.a, v.b, report.lhs_log, report.rhs_log)
+            if report.correlation is not None:
+                check_cosine_product(verdict_angles(v.fa, v.qb).correlation(), report.correlation)
