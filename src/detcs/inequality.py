@@ -33,6 +33,7 @@ from .linalg import (
     SignedLogDet,
     SubspaceBasis,
     as_matrix,
+    column_squares,
     conj_transpose,
     factor_lanes,
     log_det,
@@ -160,7 +161,7 @@ def _spans_match(z: np.ndarray, n: int, tol: float) -> bool:
     tolerance absorbs the roundoff of the computed gap, which comes from
     LU and R rather than from these bases.
     """
-    return float((np.abs(z[n:]) ** 2).sum()) <= 0.5 * tol
+    return float(column_squares(z[n:]).sum()) <= 0.5 * tol
 
 
 def _correlation(overlap: np.ndarray) -> float:
@@ -273,13 +274,12 @@ def column_norm_profile(u: SubspaceBasis, v: SubspaceBasis) -> list[float]:
 
 def _column_norms(w: np.ndarray) -> list[float]:
     """Column norms of an overlap U*V, such as the verdict's Z[:n] = Qa*Qb."""
-    profile = []
-    for j in range(w.shape[1]):
-        norm = math.sqrt(float((np.abs(w[:, j]) ** 2).sum()))
-        if norm > 1.0 + UNIT_SLACK:
-            raise InequalityViolation(f"column {j} of U*V has norm {norm!r} > 1 + {UNIT_SLACK:g}")
-        profile.append(norm)
-    return profile
+    norms = np.sqrt(column_squares(w))
+    over = norms > 1.0 + UNIT_SLACK
+    if over.any():
+        j = int(over.argmax())
+        raise InequalityViolation(f"column {j} of U*V has norm {float(norms[j])!r} > 1 + {UNIT_SLACK:g}")
+    return norms.tolist()
 
 
 def classify_case(a, b, m_fac: HpdFactor | None = None, tol: float = EQUALITY_TOL) -> CaseTag:

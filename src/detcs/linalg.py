@@ -60,11 +60,24 @@ def conj_transpose(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a.conj().T)
 
 
+def column_squares(x: np.ndarray) -> np.ndarray:
+    """The squared Euclidean norm of each column of a complex matrix, or of
+    each matrix of a stack of them (lanes): shape (..., n) for (..., m, n).
+
+    The one squared-magnitude sum of the package.  Each column is summed on
+    the float64 view, real and imaginary halves apart and added last; a
+    float64 ``x`` is taken to be that view already (re, im interleaved along
+    its last axis), which lets a loop slice one view of a stack it updates.
+    """
+    f = x.view(np.float64) if x.dtype.kind == "c" else x
+    halves = np.einsum("...ij,...ij->...j", f, f)
+    return halves[..., 0::2] + halves[..., 1::2]
+
+
 def frobenius_norm(a: np.ndarray) -> float:
-    """|A|_F of a complex matrix, summed on its float64 view in a fixed
-    order (numpy.linalg.norm would hand complex input to BLAS)."""
-    f = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
-    return math.sqrt(float(np.einsum("ij,ij->", f, f)))
+    """|A|_F of a complex matrix: the root of its summed column squares
+    (numpy.linalg.norm would hand complex input to BLAS)."""
+    return math.sqrt(float(column_squares(np.ascontiguousarray(a, dtype=np.complex128)).sum()))
 
 
 class SignedLogDet(NamedTuple):
@@ -219,8 +232,8 @@ def _householder(operands):
     which therefore get the same bits as when factored alone; only each
     lane's scalars (pivot, head phase, beta) are worked out in Python.
 
-    The squared norms come from the float64 view, real and imaginary parts
-    summed apart, and the pivot's is reused for its reflector: for x with
+    The squared norms are ``column_squares`` of the stack's float64 view,
+    and the pivot's is reused for its reflector: for x with
     head x0, v = x + phase(x0) |x| e0 has |v|^2 = 2 |x| (|x| + |x0|), so
     beta = 2 / |v|^2 needs no further sum.  Each step first swaps in the
     lane's remaining column of largest trailing norm (so |diag R| never
@@ -233,9 +246,7 @@ def _householder(operands):
     reflectors = tuple([] for _ in range(lanes))
     live = [True] * lanes
     for k in range(min(m, n)):
-        f = flat[:, k:, 2 * k :]
-        halves = np.einsum("lij,lij->lj", f, f)
-        squares = halves[:, 0::2] + halves[:, 1::2]
+        squares = column_squares(flat[:, k:, 2 * k :])
         picks = squares.argmax(axis=1).tolist()
         squares = squares.tolist()
         rows = r[:, k, k:].tolist()

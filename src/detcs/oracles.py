@@ -173,29 +173,56 @@ def principal_angle_cosines(qa: SubspaceBasis, qb: SubspaceBasis) -> PrincipalAn
     return PrincipalAngles(cosines=tuple(cosines))
 
 
+def _unit_scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """(x 2^-e, e), with e from the frexp of x's largest real or imaginary
+    part, so that part lands in [1/2, 1): an exact rescaling."""
+    parts = as_matrix(x).view(np.float64)
+    e = int(np.frexp(np.abs(parts).max())[1])
+    return np.ldexp(parts, -e).view(np.complex128), e
+
+
+def _log_abs(z: complex) -> float:
+    return math.log(abs(z)) if z else -math.inf
+
+
 def check_gram_dets(a: np.ndarray, b: np.ndarray, lhs: SignedLogDet, rhs: SignedLogDet) -> None:
     """Audit a verdict's sides, lhs = |det(A*MB)|^2 and rhs = det(A*MA) det(B*MB),
     against cofactor determinants of its pair's Gram products (the pair is
     whitened, or wide).  A side is a product of two determinants, so its
     square root must match their geometric mean within DET_AGREEMENT_RTOL, or,
-    flagged zero, the smaller one must be below ZERO_DET_RTOL * scale^n.
-    Skipped before any product above the size guard: each product is n x n."""
+    flagged zero, the smaller one must be below ZERO_DET_RTOL * scale^n, with
+    scale the product's largest entry magnitude.
+    Skipped before any product above the size guard: each product is n x n.
+
+    The operands are scaled by exact powers of two 2^-ea and 2^-eb first, so
+    no product or determinant overflows or underflows; the comparison runs
+    on logs, with the scaled sides' shift 2n (ea + eb) log 2 added back."""
     n = a.shape[1]
     if n > COFACTOR_MAX_N:
         return
+    (a, ea), (b, eb) = _unit_scaled(a), _unit_scaled(b)
+    shift = 2 * n * (ea + eb) * math.log(2.0)
     ab, aa, bb = (matmul(conj_transpose(x), y) for x, y in ((a, b), (a, a), (b, b)))
     cross = (ab, det_cofactor(ab))
     grams = ((aa, det_cofactor(aa)), (bb, det_cofactor(bb)))
     for name, side, pair in ("lhs", lhs, (cross, cross)), ("rhs", rhs, grams):
         if side.zero:
-            least = min(abs(det) / max(1.0, float(abs(mat).max())) ** n for mat, det in pair)
-            if least > ZERO_DET_RTOL:
-                raise OracleError(f"{name} is zero but each cofactor det is >= {least!r} * scale^n")
+            # a zero det passes whatever its product's scale
+            least = min(
+                math.log(abs(det)) - n * math.log(np.abs(mat).max()) if det else -math.inf
+                for mat, det in pair
+            )
+            if least > math.log(ZERO_DET_RTOL):
+                raise OracleError(
+                    f"{name} is zero but each cofactor det is >= {math.exp(least)!r} * scale^n"
+                )
             continue
-        root = math.exp(0.5 * side.log_magnitude)
-        mean = math.sqrt(abs(pair[0][1]) * abs(pair[1][1]))
-        if abs(root - mean) > DET_AGREEMENT_RTOL * mean:
-            raise OracleError(f"sqrt({name}) {root!r} disagrees with cofactor oracle {mean!r}")
+        oracle = _log_abs(pair[0][1]) + _log_abs(pair[1][1]) + shift
+        if abs(math.expm1(0.5 * (side.log_magnitude - oracle))) > DET_AGREEMENT_RTOL:
+            raise OracleError(
+                f"sqrt({name}) disagrees with cofactor oracle: log {name} "
+                f"{side.log_magnitude!r}, oracle {oracle!r}"
+            )
 
 
 def verdict_angles(fa: ColumnFactors, qb: np.ndarray) -> PrincipalAngles:

@@ -450,3 +450,70 @@ def test_verdict_modules_call_no_numpy_linalg():
                 assert not isinstance(node.op, ast.MatMult), (name, node.lineno)
             elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
                 assert not {"dot", "matmul"} & {a.name for a in node.names}, (name, node.lineno)
+
+
+def pivot_reduction(stack):
+    """The Householder pivot norms as first written: one einsum over the
+    lane stack's float64 view, real and imaginary halves added last."""
+    f = stack.view(np.float64)
+    halves = np.einsum("lij,lij->lj", f, f)
+    return halves[:, 0::2] + halves[:, 1::2]
+
+
+def test_column_squares_is_the_pivot_reduction():
+    rng = np.random.default_rng(14)
+    signed_zeros = np.array([0.0, -0.0, 0.0, -0.0, 1.5, -2.0])
+    shapes = [(1, 1, 1), (2, 1, 7), (2, 9, 1), (3, 5, 4), (2, 8, 4), (2, 64, 32), (1, 12, 6)]
+    for lanes, m, n in shapes:
+        stacks = [complex_normal(rng, lanes * m, n).reshape(lanes, m, n)]
+        parts = rng.choice(signed_zeros, (2, lanes, m, n))
+        stacks.append(parts[0] + 1j * parts[1])
+        stacks.append(stacks[0] * 2.0 ** rng.integers(-500, 500, (lanes, m, 1)))
+        for stack in stacks:
+            expected = pivot_reduction(stack)
+            assert same_bits(linalg.column_squares(stack), expected), (lanes, m, n)
+            assert same_bits(linalg.column_squares(stack.view(np.float64)), expected)
+            assert same_bits(linalg.column_squares(stack[0]), expected[0])
+            # the trailing blocks _householder slices from its one view
+            k = min(m, n) - 1
+            tail = pivot_reduction(np.ascontiguousarray(stack[:, k:, k:]))
+            assert same_bits(linalg.column_squares(stack.view(np.float64)[:, k:, 2 * k :]), tail)
+
+
+def test_column_squares_agrees_with_squared_magnitudes():
+    # both sum m positive terms, each rounded a bounded number of times, so
+    # each is within (m + 2) eps of the exact sum, relative
+    rng = np.random.default_rng(15)
+    for m, n in [(1, 1), (1, 6), (6, 1), (6, 6), (12, 6), (64, 32)]:
+        x = complex_normal(rng, m, n) * 2.0 ** rng.integers(-40, 40, (m, 1))
+        expected = (np.abs(x) ** 2).sum(axis=0)
+        bound = 2 * (m + 2) * np.finfo(float).eps
+        assert_allclose(linalg.column_squares(x), expected, rtol=bound, atol=0)
+    assert np.array_equal(linalg.column_squares(np.array([[3 + 4j], [-0.0 - 12j]])), [169.0])
+
+
+def test_one_function_sums_squared_magnitudes():
+    # column_squares is the only reduction of squared magnitudes: no module
+    # calls einsum, or squares an np.abs, outside it
+    src = pathlib.Path(linalg.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        helper = [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "column_squares"
+        ]
+        assert len(helper) == (path.name == "linalg.py"), path.name
+        inside = {id(node) for h in helper for node in ast.walk(h)}
+        for node in ast.walk(tree):
+            if id(node) in inside:
+                continue
+            if isinstance(node, ast.Attribute):
+                assert node.attr != "einsum", (path.name, node.lineno)
+            elif isinstance(node, ast.Name):
+                assert node.id != "einsum", (path.name, node.lineno)
+            elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+                base = node.left
+                squares_abs = isinstance(base, ast.Call) and (
+                    isinstance(base.func, ast.Attribute) and base.func.attr in ("abs", "absolute")
+                )
+                assert not squares_abs, (path.name, node.lineno)
