@@ -121,14 +121,16 @@ def whitened_pair(a, b, m_fac: HpdFactor):
 def _whiten(a: np.ndarray, b: np.ndarray, w: np.ndarray):
     """(WA, WB) for validated operands and a W of matching size.
 
-    W is upper triangular, so row k of [A | B] reaches rows 0..k of the
-    product only; the rows below add zeros, and the sum equals
-    ``matmul(W, [A | B])`` with half the work.
+    W is upper triangular, so rows i.. of the product read rows i.. of
+    [A | B] only.  Each block of 8 rows is one ``matmul`` from its diagonal
+    block on; the entries it skips are zeros at the head of each sum, and
+    the zeros it keeps left of the diagonal add +0 to a sum that starts at
+    +0, so the result equals ``matmul(W, [A | B])`` bit for bit.
     """
     x = np.concatenate((a, b), axis=1)
-    wab = np.zeros_like(x)
-    for k in range(x.shape[0]):
-        wab[: k + 1] += w[: k + 1, k : k + 1] * x[k : k + 1]
+    wab = np.empty_like(x)
+    for i in range(0, x.shape[0], 8):
+        wab[i : i + 8] = matmul(w[i : i + 8, i:], x[i:])
     n = a.shape[1]
     return wab[:, :n], wab[:, n:]
 

@@ -41,18 +41,16 @@ def as_matrix(entries) -> np.ndarray:
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product with a fixed left-to-right accumulation over the inner index.
 
-    The sum starts at +0, so a sum of -0 terms is +0, and adds the rank-one
-    term a[:, k] b[k, :] for k = 0, 1, ... in order: it holds one term the
-    size of the output at a time.
+    One einsum without ``optimize``, so no BLAS: each entry starts at +0, so
+    a sum of -0 terms is +0, and adds a[i, k] b[k, j] for k = 0, 1, ... in
+    order, with no fused multiply-add.  That is ``oracles.matmul_naive``
+    bit for bit, at every numpy SIMD level.
     """
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"cannot multiply shapes {a.shape} and {b.shape}")
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.complex128)
-    for k in range(a.shape[1]):
-        out += a[:, k : k + 1] * b[k : k + 1]
-    return out
+    return np.einsum("ij,jk->ik", a, b, order="C")
 
 
 def conj_transpose(a: np.ndarray) -> np.ndarray:
@@ -150,9 +148,11 @@ def log_det(a: np.ndarray) -> SignedLogDet:
         log_mag += math.log(pivot_mag)
         if k + 1 < n:
             factors = lu[k + 1 :, k] / pivot
-            # both axes spelled out, as np.outer does: on a one-entry row the
-            # 1-D broadcast factors[:, None] * lu[k, k + 1 :] can round differently
-            lu[k + 1 :, k + 1 :] -= factors[:, None] * lu[None, k, k + 1 :]
+            # whole contiguous rows: the columns up to k take the update too,
+            # but no later step reads them.  Both axes spelled out, as
+            # np.outer does: a 1-D broadcast of the pivot row can round
+            # differently
+            lu[k + 1 :] -= factors[:, None] * lu[None, k]
     return SignedLogDet(phase, log_mag, False)
 
 

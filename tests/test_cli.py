@@ -186,15 +186,15 @@ def test_check_whitens_and_factors_once(tall_files, count_calls, capsys):
 
 def test_plain_correlate_reads_the_verdicts_overlap(tall_files, count_calls, capsys):
     # the column norms are read from Z[:n] = Qa*Qb: no product is formed
-    # outside the verdict, no basis of A is formed, and each operand is
-    # validated once
+    # outside the verdict (whose whitening makes one per 8-row block of the
+    # 12-row W), no basis of A is formed, and each operand is validated once
     calls = count_calls(inequality, "as_matrix", "matmul")
     count_calls(linalg, "matmul")
     count_calls(oracles, "matmul")
     count_calls(linalg.ColumnFactors, "basis")
     operands = ["--a", tall_files["a"], "--b", tall_files["strict"], "--m", tall_files["m"]]
     assert run(["correlate", *operands]) == 0
-    assert calls == {"as_matrix": 2, "basis": 1}
+    assert calls == {"as_matrix": 2, "matmul": 2, "basis": 1}
     capsys.readouterr()
 
 
@@ -510,6 +510,50 @@ def test_fuzz_bytes_do_not_depend_on_the_simd_dispatch_level():
         assert proc.returncode == 0, proc.stderr[-300:]
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
+
+
+PRODUCT_PROBE = """
+import hashlib
+import numpy as np
+from detcs.fuzz import complex_normal
+from detcs.inequality import _whiten
+from detcs.linalg import conj_transpose, matmul
+rng = np.random.default_rng(17)
+for m, n in [(1, 1), (3, 2), (8, 4), (12, 6), (17, 9), (64, 32)]:
+    a, b = complex_normal(rng, m, n), complex_normal(rng, m, n)
+    # upper triangular with a positive diagonal, drawn without BLAS
+    w = np.triu(complex_normal(rng, m, m))
+    w[np.diag_indices(m)] = rng.uniform(0.5, 2.0, m)
+    products = (a, b, w, matmul(conj_transpose(a), b), *_whiten(a, b, w))
+    print(m, n, *(hashlib.sha256(x.tobytes()).hexdigest()[:16] for x in products))
+"""
+
+
+def test_products_do_not_depend_on_simd_level_or_blas_kernel():
+    # matmul and the whitening built on it print the same bytes at numpy's
+    # default SIMD level, below X86_V3, and under two OpenBLAS kernels
+    features, dispatch = numpy_dispatch()
+    if not features.get("X86_V3"):
+        pytest.skip("numpy reports no X86_V3 dispatch level on this CPU")
+    disabled = " ".join(f for f in ("AVX512_ICL", "AVX512_SPR", "X86_V4", "X86_V3") if f in dispatch)
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    outputs = []
+    for extra in (
+        {},
+        {"NPY_DISABLE_CPU_FEATURES": disabled},
+        {"OPENBLAS_CORETYPE": "Haswell"},
+        {"OPENBLAS_CORETYPE": "Prescott"},
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-c", PRODUCT_PROBE],
+            capture_output=True,
+            text=True,
+            env={**env, **extra},
+        )
+        assert proc.returncode == 0, proc.stderr[-300:]
+        outputs.append(proc.stdout)
+    assert len(outputs[0].splitlines()) == 6
+    assert outputs[1:] == outputs[:1] * 3
 
 ORACLE_NAMES = (
     "BilinearityWitness",

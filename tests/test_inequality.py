@@ -509,12 +509,12 @@ def test_strict_verdict_factors_each_operand_once(count_calls):
         "adjoint_apply": 1,
     }
     assert calls == expected
-    # a weight adds one triangular whitening of both operands together, and
-    # no matmul and no second validation
+    # a weight adds one triangular whitening of both operands together, one
+    # matmul per 8-row block of W (one at 8 rows), and no second validation
     calls.clear()
     report = verify_inequality(complex_normal(rng, 8, 4), complex_normal(rng, 8, 4), hpd(rng, 8))
     assert report.case_tag is CaseTag.FULL_RANK_STRICT
-    assert calls == dict(expected, _whiten=1)
+    assert calls == dict(expected, _whiten=1, matmul=2)
 
 
 def test_square_wide_and_deficient_verdicts_form_no_basis(count_calls):

@@ -63,42 +63,52 @@ def test_matmul_matches_naive_oracle():
         assert_allclose(matmul(a, b), matmul_naive(a, b), rtol=0, atol=1e-14)
 
 
-def k_loop_product(a, b):
-    """A*B summed over the inner index one rank-one term at a time."""
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=complex)
-    for k in range(a.shape[1]):
-        out += a[:, k : k + 1] * b[k : k + 1, :]
-    return out
-
-
 def same_bits(x, y):
     """Equal shapes and bit patterns, so -0 and +0 differ."""
     return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
 
 
 def test_matmul_equals_plain_k_loop():
+    # every entry is the oracle's sum over k ascending from +0, bit for bit
     rng = np.random.default_rng(12)
     shapes = [(1, 1, 1), (1, 9, 1), (7, 20, 1), (1, 20, 6), (5, 1, 5), (4, 8, 4), (64, 64, 64)]
     shapes += [(15, 64, 64), (16, 64, 64), (17, 64, 64), (33, 64, 64)]
     shapes += [(7, 12, 1), (5, 4, 3), (6, 4, 3), (9, 3, 8), (3, 30, 1)]
     for m, k, n in shapes:
         a, b = complex_normal(rng, m, k), complex_normal(rng, k, n)
-        assert same_bits(matmul(a, b), k_loop_product(a, b)), (m, k, n)
+        assert same_bits(matmul(a, b), matmul_naive(a, b)), (m, k, n)
+    # strided, Fortran-order and conjugate-transposed views of the operands
+    for m, k, n in [(1, 1, 1), (5, 4, 3), (8, 16, 4), (17, 9, 6)]:
+        a, b = complex_normal(rng, m, k), complex_normal(rng, k, n)
+        views = [
+            (complex_normal(rng, 2 * m, 3 * k)[::2, ::3], b),
+            (a, complex_normal(rng, 3 * k, 2 * n)[1::3, ::2]),
+            (np.asfortranarray(a), b),
+            (a, np.asfortranarray(b)),
+            (np.asfortranarray(a), np.asfortranarray(b)),
+            (complex_normal(rng, k, m).conj().T, b),
+            (a, complex_normal(rng, n, k).conj().T),
+        ]
+        for x, y in views:
+            out = matmul(x, y)
+            assert out.flags.c_contiguous, (m, k, n)
+            assert same_bits(out, matmul_naive(x, y)), (m, k, n, x.strides, y.strides)
     # mostly zeros of either sign: the sum starts at +0, so a sum of -0
     # terms is +0, as in the reference
     signed_zeros = np.array([0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 1.5, -2.0])
     for m, k, n in [(1, 1, 1), (3, 5, 2), (6, 4, 7), (8, 8, 8)]:
         parts = [rng.choice(signed_zeros, shape) for shape in [(m, k)] * 2 + [(k, n)] * 2]
         a, b = parts[0] + 1j * parts[1], parts[2] + 1j * parts[3]
-        assert same_bits(matmul(a, b), k_loop_product(a, b)), (m, k, n)
+        assert same_bits(matmul(a, b), matmul_naive(a, b)), (m, k, n)
+    # the oracle rejects empty matrices; an empty sum is +0
     for m, k, n in [(3, 0, 4), (0, 5, 2)]:
         out = matmul(np.ones((m, k), dtype=complex), np.ones((k, n), dtype=complex))
         assert same_bits(out, np.zeros((m, n), dtype=complex)), (m, k, n)
 
 
 def test_matmul_holds_one_term_not_one_per_inner_index():
-    # a 32 x 64 x 32 product holds its output and one rank-one term, not
-    # the 64 terms of every entry at once
+    # a 32 x 64 x 32 product holds its output, not the 64 terms of every
+    # entry at once
     rng = np.random.default_rng(13)
     a, b = complex_normal(rng, 32, 64), complex_normal(rng, 64, 32)
     tracemalloc.start()
@@ -196,6 +206,77 @@ def test_log_det_singular_flagged():
 def test_log_det_requires_square():
     with pytest.raises(ValueError):
         log_det(np.zeros((2, 3), dtype=complex))
+
+
+def block_log_det(a):
+    """log_det as first written: each elimination step updates only the
+    trailing block right of column k."""
+    n = a.shape[0]
+    scale = np.abs(a).max()
+    if scale == 0.0:
+        return SignedLogDet.of_zero()
+    threshold = linalg.SINGULARITY_TOL * scale
+    lu = np.array(a, dtype=np.complex128, copy=True)
+    phase = 1.0 + 0j
+    log_mag = 0.0
+    for k in range(n):
+        p = k + int(np.abs(lu[k:, k]).argmax())
+        pivot_mag = abs(lu[p, k])
+        if pivot_mag < threshold:
+            return SignedLogDet.of_zero()
+        if p != k:
+            row = lu[k].copy()
+            lu[k] = lu[p]
+            lu[p] = row
+            phase = -phase
+        pivot = lu[k, k]
+        phase *= pivot / pivot_mag
+        log_mag += math.log(pivot_mag)
+        if k + 1 < n:
+            factors = lu[k + 1 :, k] / pivot
+            lu[k + 1 :, k + 1 :] -= factors[:, None] * lu[None, k, k + 1 :]
+    return SignedLogDet(phase, log_mag, False)
+
+
+def same_log_det(x, y):
+    """Equal flags and bit patterns of the phase and the log magnitude."""
+    bits = [np.array([d.phase, d.log_magnitude]).view(np.uint64) for d in (x, y)]
+    return x.zero == y.zero and np.array_equal(*bits)
+
+
+def test_whole_row_elimination_is_the_block_elimination():
+    rng = np.random.default_rng(18)
+    for n in [1, 2, 3, 4, 5, 6, 7, 8, 32]:
+        cases = []
+        for _ in range(20):
+            a = complex_normal(rng, n, n)
+            cases += [a, a[rng.permutation(n)], a * 2.0 ** rng.integers(-60, 60, (n, 1))]
+        if n > 1:
+            # exactly singular: a repeated row, a zero column, a rank-one product
+            a = complex_normal(rng, n, n)
+            a[-1] = a[0]
+            cases.append(a)
+            a = complex_normal(rng, n, n)
+            a[:, rng.integers(n)] = 0.0
+            cases.append(a)
+            cases.append(matmul(complex_normal(rng, n, 1), complex_normal(rng, 1, n)))
+        for a in cases:
+            assert same_log_det(log_det(a), block_log_det(a)), n
+    # the last pivot just below and just above SINGULARITY_TOL times the
+    # largest entry, behind a row permutation: both sides of the cutoff
+    flags = set()
+    for n in [2, 3, 5, 8, 32]:
+        for f in [0.5, 0.99, 0.999, 1.001, 1.01, 2.0]:
+            lower = np.tril(0.3 / n * complex_normal(rng, n, n), -1) + np.eye(n)
+            upper = np.triu(complex_normal(rng, n, n), 1) + np.eye(n)
+            upper[-1, -1] = 0.0
+            scale = np.abs(matmul(lower, upper)).max()
+            upper[-1, -1] = f * linalg.SINGULARITY_TOL * scale
+            a = matmul(lower, upper)[rng.permutation(n)]
+            x = log_det(a)
+            assert same_log_det(x, block_log_det(a)), (n, f)
+            flags.add(x.zero)
+    assert flags == {True, False}
 
 
 def test_records_keep_their_fields_read_only():
@@ -494,22 +575,32 @@ def test_column_squares_agrees_with_squared_magnitudes():
 
 def test_one_function_sums_squared_magnitudes():
     # column_squares is the only reduction of squared magnitudes: no module
-    # calls einsum, or squares an np.abs, outside it
+    # squares an np.abs, and einsum is called in column_squares and in
+    # matmul only, the latter with the product's subscripts
     src = pathlib.Path(linalg.__file__).parent
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text())
-        helper = [
-            node for node in ast.walk(tree)
-            if isinstance(node, ast.FunctionDef) and node.name == "column_squares"
-        ]
-        assert len(helper) == (path.name == "linalg.py"), path.name
-        inside = {id(node) for h in helper for node in ast.walk(h)}
+        helpers = {
+            node.name: node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name in ("column_squares", "matmul")
+        }
+        assert set(helpers) == ({"column_squares", "matmul"} if path.name == "linalg.py" else set())
+        for name, helper in helpers.items():
+            calls = [
+                node for node in ast.walk(helper)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "einsum"
+            ]
+            assert len(calls) == 1, name
+            if name == "matmul":
+                # no optimize, which could hand the product to BLAS
+                assert ast.literal_eval(calls[0].args[0]) == "ij,jk->ik"
+                assert "optimize" not in {kw.arg for kw in calls[0].keywords}
+        inside = {id(node) for h in helpers.values() for node in ast.walk(h)}
         for node in ast.walk(tree):
-            if id(node) in inside:
-                continue
-            if isinstance(node, ast.Attribute):
+            if isinstance(node, ast.Attribute) and id(node) not in inside:
                 assert node.attr != "einsum", (path.name, node.lineno)
-            elif isinstance(node, ast.Name):
+            elif isinstance(node, ast.Name) and id(node) not in inside:
                 assert node.id != "einsum", (path.name, node.lineno)
             elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
                 base = node.left
