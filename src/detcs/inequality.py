@@ -303,7 +303,7 @@ def verify_inequality(
 ) -> CsReport:
     """Compute both sides of the inequality in log domain and certify the bound.
 
-    The right side comes from the diagonals of each operand's pivoted QR,
+    The right side comes from the pivot norms |r_kk| of each operand's QR,
     the left side from LU of A*B: two independent routes, so A*A and B*B are
     never formed.  Raises InequalityViolation if the left side exceeds the
     right beyond log(1 + tol): the bound holds for every input, so a breach

@@ -224,40 +224,37 @@ def _reflect(v: np.ndarray, vh: np.ndarray, y: np.ndarray) -> None:
 def _householder(operands):
     """Column-pivoted Householder QR of a copy of each of L same-shape m x n
     matrices (the lanes), in one pass: (a tuple of reflectors per lane, the
-    L x m x n stack whose diagonals are those of the R factors; nothing
-    reads below them, so the entries there are left as they fall).
+    L x min(m, n) array of |r_kk|).
 
     A reflector (k, v, vh) is H_k = I - v vh on rows k and below, with
     vh = beta v*.  Every array operation of a step is shared by the lanes,
     which therefore get the same bits as when factored alone; only each
     lane's scalars (pivot, head phase, beta) are worked out in Python.
 
-    The squared norms are ``column_squares`` of the stack's float64 view,
-    and the pivot's is reused for its reflector: for x with
-    head x0, v = x + phase(x0) |x| e0 has |v|^2 = 2 |x| (|x| + |x0|), so
-    beta = 2 / |v|^2 needs no further sum.  Each step first swaps in the
-    lane's remaining column of largest trailing norm (so |diag R| never
-    increases), and a lane whose trailing block is zero stops there while
+    The squared norms are ``column_squares`` of the stack's float64 view.
+    Each step first swaps in the lane's remaining column x of largest
+    trailing norm (so |r_kk| never increases), and H_k maps x to
+    -phase(x0) |x| e0 for its head x0: |r_kk| is the pivot norm |x|.  Its
+    square is reused for the reflector too, since v = x + phase(x0) |x| e0
+    has |v|^2 = 2 |x| (|x| + |x0|), so beta = 2 / |v|^2 needs no further
+    sum.  A lane whose trailing columns all square to 0 gets beta 0 and
+    |r_kk| = 0: its block no longer changes, so it stays that way while
     the others go on.
     """
     r = np.array(operands, dtype=np.complex128, order="C")
     lanes, m, n = r.shape
     flat = r.view(np.float64)
     reflectors = tuple([] for _ in range(lanes))
-    live = [True] * lanes
+    norms = np.zeros((lanes, min(m, n)))
     for k in range(min(m, n)):
         squares = column_squares(flat[:, k:, 2 * k :])
         picks = squares.argmax(axis=1).tolist()
         squares = squares.tolist()
         rows = r[:, k, k:].tolist()
-        heads, betas, active = [], [], []
+        betas, active = [], []
         for lane, col in enumerate(picks):
-            sq = squares[lane][col] if live[lane] else 0.0
+            sq = squares[lane][col]
             if sq == 0.0:
-                if live[lane]:
-                    r[lane, k:, k:] = 0.0  # its entries may be too small to square, not zero
-                    live[lane] = False
-                heads.append(0j)
                 betas.append(0.0)
                 continue
             if col:
@@ -266,34 +263,32 @@ def _householder(operands):
                 r[lane, :, k] = r[lane, :, j]
                 r[lane, :, j] = swap
             norm = math.sqrt(sq)
+            norms[lane, k] = norm
             x0 = rows[lane][col]
             size = abs(x0)
             shift = (x0 / size if size else 1.0 + 0j) * norm
-            heads.append(-shift)
             betas.append(1.0 / (norm * (norm + size)))
             active.append((lane, x0 + shift))
         if not active:
-            break  # every lane's trailing block is zero
+            break  # every lane's trailing block squares to zero
         v = r[:, k:, k : k + 1].copy()
         for lane, v0 in active:
             v[lane, 0, 0] = v0
         vh = v.reshape(lanes, 1, m - k).conj() * np.array(betas).reshape(lanes, 1, 1)
         if k + 1 < n:
             _reflect(v, vh, r[:, k:, k + 1 :])
-        r[:, k, k] = heads
         for lane, _ in active:
             reflectors[lane].append((k, v[lane], vh[lane]))
-    return tuple(tuple(steps) for steps in reflectors), r
+    return tuple(tuple(steps) for steps in reflectors), norms
 
 
 def factor_lanes(operands) -> tuple:
     """``factor_columns`` of each of L same-shape matrices, in one
     Householder pass; each lane gets the same bits as factored alone."""
-    reflectors, r = _householder(operands)
-    diags = np.abs(np.diagonal(r, axis1=1, axis2=2))
+    reflectors, diags = _householder(operands)
     ranks = (diags > RANK_TOL * diags.max(axis=1, keepdims=True)).sum(axis=1).tolist()
     return tuple(
-        ColumnFactors(reflectors=steps, diag=diag, rank=rank, rows=r.shape[1])
+        ColumnFactors(reflectors=steps, diag=diag, rank=rank, rows=len(operands[0]))
         for steps, diag, rank in zip(reflectors, diags, ranks)
     )
 

@@ -493,11 +493,16 @@ def assert_same_factors(alone, lane, m):
 def test_two_lane_factorization_matches_each_lane_alone():
     rng = np.random.default_rng(26)
     cases = [(8, 4, None), (12, 6, 2), (5, 5, 0), (3, 6, 1), (1, 3, None)]
-    cases += [(64, 32, None), (64, 32, 20)]
+    cases += [(64, 32, None), (64, 32, 20), (12, 6, "tiny")]
     for m, n, rank in cases:
         a = complex_normal(rng, m, n)
         if rank == 0:
             a = 0.0 * a
+        elif rank == "tiny":
+            # nonzero entries whose squares all underflow to 0: the lane
+            # gets beta 0 from the first step on, beside a live one
+            a = 2.0**-600 * a
+            assert a.all() and not linalg.column_squares(a).any()
         elif rank is not None:
             # a rank-deficient lane next to a full-rank one, in either order
             a = matmul(complex_normal(rng, m, rank), complex_normal(rng, rank, n))
@@ -531,6 +536,22 @@ def test_verdict_modules_call_no_numpy_linalg():
                 assert not isinstance(node.op, ast.MatMult), (name, node.lineno)
             elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
                 assert not {"dot", "matmul"} & {a.name for a in node.names}, (name, node.lineno)
+
+
+def test_r_diagonal_is_the_pivot_norm():
+    # |r_kk| has one producer, the pivot norm: the QR takes no complex
+    # modulus of an array and reads no diagonal back (the scalar abs of a
+    # column head gives the reflector its phase)
+    tree = ast.parse(pathlib.Path(linalg.__file__).read_text())
+    kernels = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in ("_householder", "factor_lanes")
+    ]
+    assert len(kernels) == 2
+    for kernel in kernels:
+        for node in ast.walk(kernel):
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in ("abs", "absolute", "diagonal"), (kernel.name, node.lineno)
 
 
 def pivot_reduction(stack):
