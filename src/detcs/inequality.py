@@ -113,9 +113,13 @@ def _same_shape(a, b):
 
 def whitened_pair(a, b, m_fac: HpdFactor):
     """(WA, WB) for the weight's factor W; Gram products under M of the
-    originals equal unweighted Gram products of the pair."""
+    originals equal unweighted Gram products of the pair.  This is the
+    pair every weighted verdict reads, whatever its shape."""
     a, b = _same_shape(a, b)
-    return _whiten(a, b, _weight_factor(m_fac, a.shape[0]))
+    w = m_fac.w_factor
+    if w.shape[1] != len(a):
+        raise ValueError(f"weight is {w.shape[0]} x {w.shape[1]} but the matrices have {len(a)} rows")
+    return _whiten(a, b, w)
 
 
 def _whiten(a: np.ndarray, b: np.ndarray, w: np.ndarray):
@@ -133,25 +137,6 @@ def _whiten(a: np.ndarray, b: np.ndarray, w: np.ndarray):
         wab[i : i + 8] = matmul(w[i : i + 8, i:], x[i:])
     n = a.shape[1]
     return wab[:, :n], wab[:, n:]
-
-
-def _weight_factor(m_fac: HpdFactor, rows: int) -> np.ndarray:
-    """The weight's factor W, which must match the operands' row count."""
-    w = m_fac.w_factor
-    if w.shape[1] != rows:
-        raise ValueError(f"weight is {w.shape[0]} x {w.shape[1]} but the matrices have {rows} rows")
-    return w
-
-
-def _operands(a, b, m_fac: HpdFactor | None):
-    """The pair a verdict reads: whitened when weighted, except a wide pair,
-    which shape alone settles (its weight is still checked for size)."""
-    a, b = _same_shape(a, b)
-    if m_fac is None:
-        return a, b
-    m, n = a.shape
-    w = _weight_factor(m_fac, m)
-    return (a, b) if m < n else _whiten(a, b, w)
 
 
 def _spans_match(z: np.ndarray, n: int, tol: float) -> bool:
@@ -184,10 +169,10 @@ def _gram_log_det(f: ColumnFactors) -> SignedLogDet:
 class _Verdict(NamedTuple):
     """One pass over an (A, B, M) instance, which every front end reads: the
     regime, the tolerance it was decided at, the pair the verdict reads
-    (whitened when weighted, except a wide pair), and that pair's
-    factors: both pivoted QRs, Qb and Z.  The factors are None for
-    a wide pair, which shape alone settles, and Qb and Z are None unless
-    the pair is tall with full column rank."""
+    (``whitened_pair`` when weighted), and that pair's factors: both
+    pivoted QRs, Qb and Z.  The factors are None for a wide pair, which
+    shape alone settles, and Qb and Z are None unless the pair is tall
+    with full column rank."""
 
     tag: CaseTag
     tol: float
@@ -217,7 +202,7 @@ def _verdict(a, b, m_fac: HpdFactor | None, tol: float) -> _Verdict:
     Frobenius norm is the sum of squared principal sines (Bjorck & Golub,
     1973).
     """
-    a, b = _operands(a, b, m_fac)
+    a, b = _same_shape(a, b) if m_fac is None else whitened_pair(a, b, m_fac)
     _check_tol(tol)
     m, n = a.shape
     if m < n:

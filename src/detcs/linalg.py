@@ -63,11 +63,11 @@ def column_squares(x: np.ndarray) -> np.ndarray:
     each matrix of a stack of them (lanes): shape (..., n) for (..., m, n).
 
     The one squared-magnitude sum of the package.  Each column is summed on
-    the float64 view, real and imaginary halves apart and added last; a
-    float64 ``x`` is taken to be that view already (re, im interleaved along
-    its last axis), which lets a loop slice one view of a stack it updates.
+    the float64 view, real and imaginary halves apart and added last.
     """
-    f = x.view(np.float64) if x.dtype.kind == "c" else x
+    if x.dtype != np.complex128:
+        raise TypeError(f"column_squares takes a complex128 array, got {x.dtype}")
+    f = x.view(np.float64)
     halves = np.einsum("...ij,...ij->...j", f, f)
     return halves[..., 0::2] + halves[..., 1::2]
 
@@ -231,7 +231,7 @@ def _householder(operands):
     which therefore get the same bits as when factored alone; only each
     lane's scalars (pivot, head phase, beta) are worked out in Python.
 
-    The squared norms are ``column_squares`` of the stack's float64 view.
+    The squared norms are ``column_squares`` of the trailing block.
     Each step first swaps in the lane's remaining column x of largest
     trailing norm (so |r_kk| never increases), and H_k maps x to
     -phase(x0) |x| e0 for its head x0: |r_kk| is the pivot norm |x|.  Its
@@ -243,11 +243,10 @@ def _householder(operands):
     """
     r = np.array(operands, dtype=np.complex128, order="C")
     lanes, m, n = r.shape
-    flat = r.view(np.float64)
     reflectors = tuple([] for _ in range(lanes))
     norms = np.zeros((lanes, min(m, n)))
     for k in range(min(m, n)):
-        squares = column_squares(flat[:, k:, 2 * k :])
+        squares = column_squares(r[:, k:, k:])
         picks = squares.argmax(axis=1).tolist()
         squares = squares.tolist()
         rows = r[:, k, k:].tolist()

@@ -188,7 +188,7 @@ def _log_abs(z: complex) -> float:
 def check_gram_dets(a: np.ndarray, b: np.ndarray, lhs: SignedLogDet, rhs: SignedLogDet) -> None:
     """Audit a verdict's sides, lhs = |det(A*MB)|^2 and rhs = det(A*MA) det(B*MB),
     against cofactor determinants of its pair's Gram products (the pair is
-    whitened, or wide).  A side is a product of two determinants, so its
+    whitened when weighted).  A side is a product of two determinants, so its
     square root must match their geometric mean within DET_AGREEMENT_RTOL, or,
     flagged zero, the smaller one must be below ZERO_DET_RTOL * scale^n, with
     scale the product's largest entry magnitude.

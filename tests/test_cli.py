@@ -476,6 +476,8 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "total: 8/8 passed" in proc.stdout
+    # the child is outside pytest's warning filter: nothing may leak to stderr
+    assert proc.stderr == ""
 
 
 
@@ -660,3 +662,5 @@ def test_repeated_runs_print_identical_bytes(tmp_path):
         ]
         assert [r.returncode for r in runs] == [0, 0], runs[0].stderr[-300:]
         assert runs[0].stdout and runs[0].stdout == runs[1].stdout
+        # a warning in the child process reaches its stderr only
+        assert [r.stderr for r in runs] == [b"", b""], argv

@@ -574,12 +574,14 @@ def test_column_squares_is_the_pivot_reduction():
         for stack in stacks:
             expected = pivot_reduction(stack)
             assert same_bits(linalg.column_squares(stack), expected), (lanes, m, n)
-            assert same_bits(linalg.column_squares(stack.view(np.float64)), expected)
             assert same_bits(linalg.column_squares(stack[0]), expected[0])
-            # the trailing blocks _householder slices from its one view
+            # the trailing blocks _householder slices from its stack
             k = min(m, n) - 1
             tail = pivot_reduction(np.ascontiguousarray(stack[:, k:, k:]))
-            assert same_bits(linalg.column_squares(stack.view(np.float64)[:, k:, 2 * k :]), tail)
+            assert same_bits(linalg.column_squares(stack[:, k:, k:]), tail)
+    # a real array is not read as the interleaved view of a complex one
+    with pytest.raises(TypeError):
+        linalg.column_squares(stack.view(np.float64))
 
 
 def test_column_squares_agrees_with_squared_magnitudes():
