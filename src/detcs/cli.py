@@ -22,7 +22,6 @@ from .inequality import (
     _report,
     _verdict,
     classify_case,
-    enforce_equality_contract,
 )
 from .linalg import cholesky_hpd
 from .matrixio import load_matrix, save_matrix
@@ -42,7 +41,6 @@ def _load_operands(args):
 def cmd_verify(args) -> int:
     v = _verdict(*_load_operands(args), args.tol)
     report = _report(v)
-    enforce_equality_contract(report)
     if args.check:
         check_gram_dets(v.a, v.b, report.lhs_log, report.rhs_log)
         if report.correlation is not None:

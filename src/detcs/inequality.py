@@ -185,9 +185,10 @@ class _Verdict(NamedTuple):
 
 
 def _check_tol(tol: float) -> None:
-    """The one rule for an equality or span tolerance: positive and finite."""
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tolerance must be positive and finite")
+    """The one rule for an equality or span tolerance: 0 < tol < 1, since a
+    relative gap lies in [0, 1] and a larger tol would accept any gap."""
+    if not 0.0 < tol < 1.0:
+        raise ValueError("tolerance must lie strictly between 0 and 1")
 
 
 def _verdict(a, b, m_fac: HpdFactor | None, tol: float) -> _Verdict:
@@ -286,20 +287,21 @@ def verify_inequality(
     m_fac: HpdFactor | None = None,
     tol: float = EQUALITY_TOL,
 ) -> CsReport:
-    """Compute both sides of the inequality in log domain and certify the bound.
+    """Compute both sides of the inequality in log domain and certify them.
 
     The right side comes from the pivot norms |r_kk| of each operand's QR,
     the left side from LU of A*B: two independent routes, so A*A and B*B are
     never formed.  Raises InequalityViolation if the left side exceeds the
-    right beyond log(1 + tol): the bound holds for every input, so a breach
-    means a kernel bug, not a counterexample.  The span test spends half of
+    right beyond log(1 + tol), or if an equality regime's gap exceeds tol
+    (``enforce_equality_contract``): a breach means a kernel bug or a tol
+    below roundoff, not a counterexample.  The span test spends half of
     tol, so a FullRankSameSpan verdict carries an exact gap of at most tol / 2.
     """
     return _report(_verdict(a, b, m_fac, tol))
 
 
 def _report(v: _Verdict) -> CsReport:
-    """The verdict record of one pass: both sides, the gap and the bound."""
+    """The verdict record of one pass, checked against both promises."""
     tol = v.tol
     n = v.a.shape[1]
     correlation = None
@@ -322,7 +324,7 @@ def _report(v: _Verdict) -> CsReport:
                 f"lhs log {lhs.log_magnitude!r}, rhs log {rhs.log_magnitude!r}"
             )
         relative_gap = max(0.0, -math.expm1(slack))
-    return CsReport(
+    report = CsReport(
         case_tag=v.tag,
         lhs_log=lhs,
         rhs_log=rhs,
@@ -331,6 +333,8 @@ def _report(v: _Verdict) -> CsReport:
         equality=v.tag.implies_equality(),
         tol_used=tol,
     )
+    enforce_equality_contract(report)
+    return report
 
 
 def enforce_equality_contract(report: CsReport) -> None:
@@ -340,8 +344,7 @@ def enforce_equality_contract(report: CsReport) -> None:
     a computed gap beyond the tolerance signals a kernel bug or a tolerance
     tighter than roundoff.  A zero side beside a positive one has gap 1 and
     raises too: the regimes promise both sides zero or both positive.
-    Verification front ends apply this after verify_inequality so that
-    replayed violations stay violations.
+    Every verdict record passes through this check before it is returned.
     """
     if report.equality and report.relative_gap > report.tol_used:
         raise InequalityViolation(

@@ -26,11 +26,7 @@ UNIT_SLACK = 1e-10        # a computed cosine, correlation or column norm may ex
 
 def as_matrix(entries) -> np.ndarray:
     """Coerce ``entries`` to a 2-D complex128 matrix, rejecting NaN/Inf."""
-    a = np.asarray(entries)
-    if a.ndim == 2 and a.dtype == np.complex128:
-        a = np.ascontiguousarray(a)
-    else:
-        a = np.array(entries, dtype=np.complex128, order="C", ndmin=2)
+    a = np.array(entries, dtype=np.complex128, order="C", ndmin=2)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise ValueError(f"expected an m x n matrix with m, n >= 1, got shape {a.shape}")
     if not np.isfinite(a).all():

@@ -21,6 +21,7 @@ from detcs import (
     fuzz,
     inequality,
     linalg,
+    load_matrix,
     matmul,
     oracles,
     save_matrix,
@@ -400,10 +401,10 @@ def test_classify_prints_tag_and_clause(files, capsys):
     assert code == 0
     assert capsys.readouterr().out.splitlines()[0] == "FullRankStrict"
 
-    # a tolerance that is not positive and finite is refused whatever the
-    # shape, by classify and verify alike
+    # a tolerance outside (0, 1) is refused whatever the shape, by classify
+    # and verify alike
     for a, b in [("i3", "i3"), ("wide", "wide"), ("tall", "tall_span")]:
-        for tol in ("0", "-1", "nan", "inf"):
+        for tol in ("0", "-1", "nan", "inf", "1", "20"):
             for command, flag in ("classify", "--subspace-tol"), ("verify", "--tol"):
                 code = run([command, "--a", files[a], "--b", files[b], flag, tol])
                 assert code == 2
@@ -449,23 +450,29 @@ def test_fuzz_bad_ensemble_exits_2(capsys):
 
 
 def test_fuzz_violation_writes_replay_that_reproduces(tmp_path, monkeypatch, capsys):
-    # a tolerance below roundoff turns honest equality cases into violations;
-    # the emitted replay file must reproduce exit 3 through cmd_verify
+    # a tolerance below roundoff turns honest verdicts into violations; the
+    # emitted replay files, a weight's included, must reproduce exit 3 and
+    # the same message through cmd_verify
     monkeypatch.chdir(tmp_path)
-    code = run(
-        ["fuzz", "--trials", "3", "--seed", "7", "--ensembles", "shared_span", "--tol", "1e-17"]
-    )
-    out = capsys.readouterr().out
-    assert code == 3
-    assert "VIOLATION" in out
-    replay_lines = [ln for ln in out.splitlines() if ln.startswith("replay: ")]
-    assert replay_lines
-    argv = replay_lines[0].removeprefix("replay: detcs ").split()
-    assert (tmp_path / argv[2]).exists()
-    replay_code = run(argv)
-    captured = capsys.readouterr()
-    assert replay_code == 3
-    assert "invariant violation" in captured.err
+    for ensemble, trials in ("shared_span", 3), ("weighted", 12):
+        fuzz_argv = ["fuzz", "--trials", str(trials), "--seed", "7", "--ensembles", ensemble]
+        code = run([*fuzz_argv, "--tol", "1e-17"])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 3
+        violation = next(ln for ln in out if ln.startswith("VIOLATION"))
+        replay = out[out.index(violation) + 1]
+        assert replay.startswith("replay: detcs verify ")
+        argv = replay.removeprefix("replay: detcs ").split()
+        assert (tmp_path / argv[2]).exists()
+        assert run(argv) == 3
+        assert capsys.readouterr().err == f"invariant violation: {violation.split(': ', 1)[1]}\n"
+    # the weighted replay names the saved weight, which is the drawn one
+    # bit for bit
+    assert violation.startswith("VIOLATION ensemble=weighted trial=11: ")
+    assert "--m detcs-replay-weighted-11-m.mat" in replay
+    drawn = draw_instance("weighted", trial_rng(7, "weighted", 11), 8, 8).m_fac.m_matrix
+    saved = load_matrix(tmp_path / "detcs-replay-weighted-11-m.mat")
+    assert saved.shape == drawn.shape and saved.tobytes() == drawn.tobytes()
 
 
 def test_module_entry_point():

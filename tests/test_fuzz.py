@@ -25,7 +25,7 @@ def test_config_validation():
         FuzzConfig(trials=1, seed=0, ensembles=("ginibre", "cauchy"))
     with pytest.raises(ValueError):
         FuzzConfig(trials=1, seed=0, ensembles=("ginibre", "ginibre"))
-    for tol in (0.0, -1.0, float("nan"), float("inf")):
+    for tol in (0.0, -1.0, float("nan"), float("inf"), 1.0, 20.0):
         with pytest.raises(ValueError):
             FuzzConfig(trials=1, seed=0, tol=tol)
 

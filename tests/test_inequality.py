@@ -1,8 +1,10 @@
 """Tests for the inequality layer: Gram products, correlation, bounds,
 classification, and the verdict report."""
 
+import ast
 import collections
 import math
+import pathlib
 import warnings
 
 import numpy as np
@@ -289,10 +291,9 @@ def test_classify_edge_inputs_and_bad_tol():
     assert classify_case(wide, wide) is CaseTag.WIDE_EQUAL_ZERO
     square = complex_normal(rng, 3, 3)
     tall = complex_normal(rng, 4, 2)
-    # a tolerance that is not positive and finite is refused before the
-    # shape decides
+    # a tolerance outside (0, 1) is refused before the shape decides
     for a, b in [(wide, wide), (square, square), (tall, tall)]:
-        for tol in (0.0, -1.0, float("nan"), float("inf")):
+        for tol in (0.0, -1.0, float("nan"), float("inf"), 1.0, 20.0):
             with pytest.raises(ValueError):
                 classify_case(a, b, tol=tol)
 
@@ -443,13 +444,43 @@ def test_verify_absurd_tolerance_raises_on_positive_roundoff():
 
 def test_equality_contract_trips_below_roundoff():
     # a square pair with lhs a shade under rhs: the bound holds at any
-    # tolerance but the computed gap cannot beat 1e-18
+    # tolerance but the computed gap cannot beat 1e-18, so verify raises
     pair = square_pair_with_roundoff(-1)
     assert pair is not None
-    report = verify_inequality(*pair, tol=1e-18)
-    assert report.relative_gap > 1e-18
-    with pytest.raises(InequalityViolation):
-        enforce_equality_contract(report)
+    with pytest.raises(InequalityViolation, match="demands equality"):
+        verify_inequality(*pair, tol=1e-18)
+
+
+def test_verify_enforces_the_equality_contract(monkeypatch):
+    # an LU that lowers lhs by 1e-6 in log leaves the bound intact but
+    # breaks the equality a same-span pair promises: verify itself raises
+    rng = np.random.default_rng(67)
+    a = complex_normal(rng, 12, 6)
+    b = matmul(a, complex_normal(rng, 6, 6))
+    assert verify_inequality(a, b).case_tag is CaseTag.FULL_RANK_SAME_SPAN
+    original = inequality.log_det
+
+    def lowered(mat):
+        d = original(mat)
+        return d._replace(log_magnitude=d.log_magnitude - 0.5e-6)  # lhs is |det|^2
+
+    monkeypatch.setattr(inequality, "log_det", lowered)
+    with pytest.raises(InequalityViolation, match="demands equality"):
+        verify_inequality(a, b)
+
+
+def test_equality_contract_has_one_caller():
+    # the contract is enforced where every verdict record is built, so no
+    # front end calls it a second time
+    callers = []
+    for path in sorted(pathlib.Path(inequality.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        funcs = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "enforce_equality_contract" in ast.unparse(node.func):
+                inner = [f for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
+                callers.append((path.name, max(inner, key=lambda f: f.lineno).name if inner else None))
+    assert callers == [("inequality.py", "_report")]
 
 
 def test_equality_contract_passes_sane_reports():
@@ -665,6 +696,40 @@ def test_correlate_reads_column_norms_from_z(tmp_path, capsys):
             qa, qb = (SubspaceBasis(factor_columns(x).basis()) for x in (a, b))
             assert_allclose(norms, column_norm_profile(qa, qb), rtol=0, atol=1e-15)
             assert correlation <= math.prod(norms) * (1.0 + 1e-14), (kind, weighted)
+
+
+def same_span_correlate_argv(tmp_path, seed):
+    """A 12x6 same-span pair B = AC, saved, and the correlate command line."""
+    rng = np.random.default_rng(seed)
+    a = complex_normal(rng, 12, 6)
+    b = matmul(a, complex_normal(rng, 6, 6))
+    save_matrix(tmp_path / "a.mat", a)
+    save_matrix(tmp_path / "b.mat", b)
+    return a, b, ["correlate", "--a", str(tmp_path / "a.mat"), "--b", str(tmp_path / "b.mat")]
+
+
+def test_correlation_past_unit_slack_raises(tmp_path, monkeypatch, capsys):
+    # an LU that reads |det(Qa*Qb)| as 1 + 1e-9 is past the 1e-10 slack, so
+    # the correlation raises instead of being clamped to 1
+    a, b, argv = same_span_correlate_argv(tmp_path, 97)
+    original = inequality.log_det
+    monkeypatch.setattr(
+        inequality, "log_det", lambda mat: original(mat)._replace(log_magnitude=math.log1p(1e-9))
+    )
+    with pytest.raises(InequalityViolation, match="exceeds 1 \\+ 1e-10"):
+        det_correlation(a, b)
+    assert run(argv) == 3
+    assert "exceeds 1 + 1e-10" in capsys.readouterr().err
+
+
+def test_column_norm_past_unit_slack_raises(tmp_path, monkeypatch, capsys):
+    # squared column norms of Z[:n] read 1e-8 high put the unit columns of a
+    # same-span overlap past the 1e-10 slack
+    argv = same_span_correlate_argv(tmp_path, 98)[2]
+    original = inequality.column_squares
+    monkeypatch.setattr(inequality, "column_squares", lambda x: original(x) * (1.0 + 1e-8))
+    assert run(argv) == 3
+    assert "column 0 of U*V has norm" in capsys.readouterr().err
 
 
 @pytest.mark.xfail(
