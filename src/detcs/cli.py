@@ -158,17 +158,21 @@ def _print_summary(summary) -> None:
 
 
 def _write_replays(summary) -> None:
+    """Print each violation, then its replay once its files are written."""
     for v in summary.violations:
-        stem = f"detcs-replay-{v.ensemble}-{v.trial}"
-        save_matrix(f"{stem}-a.mat", v.instance.a)
-        save_matrix(f"{stem}-b.mat", v.instance.b)
-        cmd = f"detcs verify --a {stem}-a.mat --b {stem}-b.mat"
-        if v.instance.m_fac is not None:
-            save_matrix(f"{stem}-m.mat", v.instance.m_fac.m_matrix)
-            cmd += f" --m {stem}-m.mat"
-        cmd += f" --tol {_fmt(summary.config.tol)}"
         print(f"VIOLATION ensemble={v.ensemble} trial={v.trial}: {v.message}")
-        print(f"replay: {cmd}")
+        stem = f"detcs-replay-{v.ensemble}-{v.trial}"
+        operands = {"a": v.instance.a, "b": v.instance.b}
+        if v.instance.m_fac is not None:
+            operands["m"] = v.instance.m_fac.m_matrix
+        try:
+            for name, mat in operands.items():
+                save_matrix(f"{stem}-{name}.mat", mat)
+        except OSError as exc:
+            print(f"error: cannot write replay file {stem}-{name}.mat: {exc}", file=sys.stderr)
+            continue
+        args = " ".join(f"--{name} {stem}-{name}.mat" for name in operands)
+        print(f"replay: detcs verify {args} --tol {_fmt(summary.config.tol)}")
 
 
 def _add_operands(parser: argparse.ArgumentParser) -> None:

@@ -1,9 +1,9 @@
 """Plain-text matrix files.
 
-Line 1 is ``m n``; each of the next m data lines holds 2n decimal floats,
-``re im`` per entry.  Lines whose first non-blank character is ``#`` are
-comments; blank lines are skipped.  The serializer emits shortest
-round-trip decimals, so parse(serialize(A)) reproduces A bit for bit.
+Line 1 is ``m n``; each of the next m data lines is the row's float64
+view, 2n decimal floats ``re im`` per entry.  Blank lines, and lines whose
+first non-blank character is ``#``, are skipped.  The serializer emits
+shortest round-trip decimals, so parse(serialize(A)) is A bit for bit.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .linalg import as_matrix
 
 def parse_matrix(text: str) -> np.ndarray:
     header = None
-    rows: list[list[complex]] = []
+    rows: list[list[float]] = []
     shape = (0, 0)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
@@ -58,24 +58,19 @@ def parse_matrix(text: str) -> np.ndarray:
             if not math.isfinite(value):
                 raise MatrixParseError(f"non-finite value {tok!r}", line=lineno)
             entries.append(value)
-        rows.append([complex(entries[2 * j], entries[2 * j + 1]) for j in range(shape[1])])
+        rows.append(entries)
     if header is None:
         raise MatrixParseError("empty input: no header line")
     if len(rows) != shape[0]:
         raise MatrixParseError(f"expected {shape[0]} data line(s), found {len(rows)}")
-    return as_matrix(rows)
+    return as_matrix(np.array(rows, dtype=np.float64).view(np.complex128))
 
 
 def serialize_matrix(a) -> str:
     mat = as_matrix(a)
     m, n = mat.shape
     lines = [f"{m} {n}"]
-    for i in range(m):
-        parts = []
-        for j in range(n):
-            parts.append(repr(float(mat[i, j].real)))
-            parts.append(repr(float(mat[i, j].imag)))
-        lines.append(" ".join(parts))
+    lines.extend(" ".join(map(repr, row)) for row in mat.view(np.float64).tolist())
     return "\n".join(lines) + "\n"
 
 

@@ -1,6 +1,7 @@
 """Command-line behavior: output shape, exit codes, determinism, replay."""
 
 import dataclasses
+import errno
 import inspect
 import itertools
 import json
@@ -93,6 +94,20 @@ def test_verify_json_square_has_null_correlation(files, capsys):
     run(["verify", "--a", files["i3"], "--b", files["i3"], "--json"])
     record = json.loads(capsys.readouterr().out)
     assert record["correlation"] is None
+
+
+@pytest.mark.parametrize(
+    "operand, case", [("wide", "WideEqualZero"), ("deficient", "RankDeficientZero")]
+)
+def test_verify_json_zero_sides(files, capsys, operand, case):
+    assert run(["verify", "--a", files[operand], "--b", files[operand], "--json"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    zero = {"zero": True, "log_magnitude": None, "phase": None}
+    assert record["case"] == case
+    assert record["lhs"] == zero and record["rhs"] == zero
+    assert record["correlation"] is None
+    assert record["relative_gap"] == 0.0
+    assert record["equality"] is True
 
 
 def test_verify_with_weight_and_check(files, capsys):
@@ -253,6 +268,20 @@ def test_check_fails_on_scaled_cosines(tall_files, monkeypatch, capsys):
         argv = [command, "--check", "--a", tall_files["a"], "--b", tall_files["strict"]]
         assert run(argv) == 3, command
         assert "cosine product" in capsys.readouterr().err
+
+
+def test_squared_cosine_above_one_is_refused(tall_files, monkeypatch, capsys):
+    original = oracles.hermitian_eigenvalues
+    monkeypatch.setattr(oracles, "hermitian_eigenvalues", lambda h: [*original(h)[:-1], 1.0 + 1e-9])
+    qa, qb = (
+        detcs.SubspaceBasis(linalg.factor_columns(load_matrix(tall_files[k])).basis())
+        for k in ("a", "strict")
+    )
+    with pytest.raises(detcs.OracleError, match=r"exceeds 1 \+ 1e-10"):
+        oracles.principal_angle_cosines(qa, qb)
+    argv = ["correlate", "--check", "--a", tall_files["a"], "--b", tall_files["strict"]]
+    assert run(argv) == 3
+    assert "squared cosine 1.000000001 exceeds 1 + 1e-10" in capsys.readouterr().err
 
 
 def test_check_skips_determinants_above_the_cofactor_limit(tmp_path, count_calls):
@@ -473,6 +502,27 @@ def test_fuzz_violation_writes_replay_that_reproduces(tmp_path, monkeypatch, cap
     drawn = draw_instance("weighted", trial_rng(7, "weighted", 11), 8, 8).m_fac.m_matrix
     saved = load_matrix(tmp_path / "detcs-replay-weighted-11-m.mat")
     assert saved.shape == drawn.shape and saved.tobytes() == drawn.tobytes()
+
+
+def test_fuzz_violation_without_a_replay_file_still_exits_3(tmp_path, monkeypatch, capsys):
+    # an unwritable working directory costs the replay line, not the verdict
+    def refuse(path, a):
+        raise PermissionError(errno.EACCES, "Permission denied")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "save_matrix", refuse)
+    argv = ["fuzz", "--trials", "12", "--seed", "7", "--tol", "1e-17", "--ensembles", "shared_span"]
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    violations = [ln for ln in captured.out.splitlines() if ln.startswith("VIOLATION")]
+    assert len(violations) == 10
+    assert "replay:" not in captured.out
+    errors = captured.err.splitlines()
+    assert len(errors) == 10
+    assert errors[0] == (
+        "error: cannot write replay file detcs-replay-shared_span-0-a.mat: "
+        "[Errno 13] Permission denied"
+    )
 
 
 def test_module_entry_point():

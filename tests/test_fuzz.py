@@ -40,6 +40,11 @@ def test_trial_streams_are_reproducible_and_subset_independent():
         assert one.a.shape != other.a.shape or not np.array_equal(one.a, other.a)
 
 
+def test_unknown_ensemble_draws_nothing():
+    with pytest.raises(ValueError, match="unknown ensemble 'nope'"):
+        draw_instance("nope", trial_rng(0, "ginibre", 0), 8, 8)
+
+
 def test_ginibre_draw_respects_bounds():
     for t in range(30):
         inst = draw_instance("ginibre", trial_rng(6, "ginibre", t), 4, 3)

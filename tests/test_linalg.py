@@ -296,6 +296,8 @@ def test_records_keep_their_fields_read_only():
     for record, field in records:
         with pytest.raises(AttributeError):
             setattr(record, field, None)
+    with pytest.raises(AttributeError, match="cannot delete field 'w_factor'"):
+        del cholesky_hpd(np.eye(2)).w_factor
     fac = cholesky_hpd(weight)
     # identity equality; a copy is rebuilt through the validating constructor
     twin = copy.copy(fac)

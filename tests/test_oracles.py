@@ -106,6 +106,18 @@ def test_hermitian_eigenvalues_match_numpy():
         assert_allclose(ours, ref, rtol=0, atol=1e-11 * max(1.0, float(ref.max())))
 
 
+def test_hermitian_eigenvalues_require_a_square_matrix():
+    with pytest.raises(ValueError, match="square"):
+        hermitian_eigenvalues(np.zeros((2, 3), dtype=complex))
+
+
+def test_jacobi_refuses_to_stop_short_of_convergence(monkeypatch):
+    monkeypatch.setattr(oracles, "JACOBI_MAX_SWEEPS", 1)
+    p = complex_normal(np.random.default_rng(36), 6, 6)
+    with pytest.raises(OracleError, match="failed to converge"):
+        hermitian_eigenvalues(matmul(conj_transpose(p), p))
+
+
 def test_jacobi_offdiagonal_mass_decreases_per_sweep():
     rng = np.random.default_rng(32)
     p = complex_normal(rng, 6, 6)
@@ -195,6 +207,13 @@ def test_bilinearity_search_is_deterministic():
     assert np.array_equal(w1.a2, w2.a2)
     assert np.array_equal(w1.b, w2.b)
     assert w1.discrepancy == w2.discrepancy
+
+
+def test_bilinearity_search_gives_up_without_a_witness(monkeypatch):
+    monkeypatch.setattr(oracles, "SEARCH_TRIALS", 3)
+    monkeypatch.setattr(oracles, "det_cofactor", lambda mat: 0j)
+    with pytest.raises(OracleError, match="no bilinearity defect above 0.1 in 3 trials"):
+        find_bilinearity_counterexample(42)
 
 
 def test_gram_check_forms_no_product_past_the_cofactor_limit(count_calls):
