@@ -2,13 +2,12 @@
 
 Exit codes: 0 verified / success, 2 input or validation error, 3 invariant
 violation (a kernel bug signal, never a property of valid input).  All
-output is deterministic for a fixed command line, input files, and seed.
+output is deterministic for a fixed command line and input files.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .errors import DetcsError, InequalityViolation, OracleError
@@ -104,7 +103,7 @@ def cmd_correlate(args) -> int:
 
 def cmd_classify(args) -> int:
     a, b, m_fac = _load_operands(args)
-    tag = classify_case(a, b, m_fac, tol=args.subspace_tol)
+    tag = classify_case(a, b, m_fac, tol=args.tol)
     print(tag.value)
     print(f"clause: {CLAUSE_TEXT[tag]}")
     return 0
@@ -113,19 +112,12 @@ def cmd_classify(args) -> int:
 def cmd_fuzz(args) -> int:
     from .fuzz import FuzzConfig, run_fuzz  # loaded only by the command that runs it
 
-    seed = args.seed
-    env_seed = os.environ.get("DETCS_SEED")
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError:
-            raise ValueError(f"DETCS_SEED must be an integer, got {env_seed!r}")
     ensembles = tuple(ENSEMBLES)
     if args.ensembles:
         ensembles = tuple(name.strip() for name in args.ensembles.split(",") if name.strip())
     config = FuzzConfig(
         trials=args.trials,
-        seed=seed,
+        seed=args.seed,
         m_max=args.m_max,
         n_max=args.n_max,
         ensembles=ensembles,
@@ -181,6 +173,22 @@ def _add_operands(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--m", help="path to the hermitian positive definite weight M")
 
 
+def _add_tol(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--tol",
+        type=float,
+        default=EQUALITY_TOL,
+        help="relative equality tolerance, in (0, 1); spans match when the sum of "
+        "squared principal sines is at most half of it",
+    )
+
+
+def _add_check(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--check", action="store_true", help="also run oracle cross-checks (size-guarded)"
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="detcs",
@@ -193,49 +201,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="verify the inequality for one (A, B, M) instance")
     _add_operands(p_verify)
-    p_verify.add_argument(
-        "--tol", type=float, default=EQUALITY_TOL, help="relative equality tolerance"
-    )
+    _add_tol(p_verify)
     p_verify.add_argument("--json", action="store_true", help="emit a single-line JSON record")
-    p_verify.add_argument(
-        "--check", action="store_true", help="also run oracle cross-checks (size-guarded)"
-    )
+    _add_check(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
     p_corr = sub.add_parser(
         "correlate", help="determinantal correlation |det(Qa*Qb)| and column norms"
     )
     _add_operands(p_corr)
-    p_corr.add_argument(
-        "--check", action="store_true", help="also run oracle cross-checks (size-guarded)"
-    )
+    _add_check(p_corr)
     p_corr.set_defaults(func=cmd_correlate)
 
     p_cls = sub.add_parser("classify", help="name the equality/strictness regime of (A, B, M)")
     _add_operands(p_cls)
-    p_cls.add_argument(
-        "--subspace-tol",
-        type=float,
-        default=EQUALITY_TOL,
-        help="span-equality tolerance: spans match when the sum of squared "
-        "principal sines is at most half of it",
-    )
+    _add_tol(p_cls)
     p_cls.set_defaults(func=cmd_classify)
 
     p_fuzz = sub.add_parser("fuzz", help="randomized verification over seeded ensembles")
     p_fuzz.add_argument("--trials", type=int, required=True, help="trials per ensemble")
-    p_fuzz.add_argument(
-        "--seed", type=int, default=0, help="master seed (DETCS_SEED overrides when set)"
-    )
+    p_fuzz.add_argument("--seed", type=int, default=0, help="master seed")
     p_fuzz.add_argument("--m-max", type=int, default=8, help="largest row count")
     p_fuzz.add_argument("--n-max", type=int, default=8, help="largest column count")
     p_fuzz.add_argument(
         "--ensembles",
         help=f"comma-separated subset of: {', '.join(ENSEMBLES)} (default: all)",
     )
-    p_fuzz.add_argument(
-        "--tol", type=float, default=EQUALITY_TOL, help="relative equality tolerance"
-    )
+    _add_tol(p_fuzz)
     p_fuzz.set_defaults(func=cmd_fuzz)
     return parser
 

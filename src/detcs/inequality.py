@@ -224,9 +224,9 @@ def _correlated(a, b, m_fac: HpdFactor | None) -> tuple[_Verdict, float]:
     correlation; any other pair raises after the pass."""
     v = _verdict(a, b, m_fac, EQUALITY_TOL)
     m, n = v.a.shape
-    if m <= n:
+    if v.tag in (CaseTag.WIDE_EQUAL_ZERO, CaseTag.SQUARE_EQUAL):
         raise WrongRegime(f"correlation is defined only for m > n, got {m} x {n}")
-    if v.z is None:
+    if v.tag is CaseTag.RANK_DEFICIENT_ZERO:
         raise RankDeficient(
             f"columns are linearly dependent within tolerance {RANK_TOL:g}",
             estimated_rank=min(v.fa.rank, v.fb.rank),
@@ -305,14 +305,15 @@ def _report(v: _Verdict) -> CsReport:
     tol = v.tol
     n = v.a.shape[1]
     correlation = None
-    if v.fa is None or min(v.fa.rank, v.fb.rank) < n:
-        # wide, or an operand short of full column rank: both sides vanish
-        # by rank arithmetic, and no determinant is evaluated
+    if v.tag is CaseTag.WIDE_EQUAL_ZERO or min(v.fa.rank, v.fb.rank) < n:
+        # wide, or an operand short of full column rank (a RankDeficientZero
+        # pair, or a singular SquareEqual one): both sides vanish by rank
+        # arithmetic, and no determinant is evaluated
         lhs = rhs = SignedLogDet.of_zero()
     else:
         lhs = log_det(matmul(conj_transpose(v.a), v.b)).abs_squared()
         rhs = _gram_log_det(v.fa) * _gram_log_det(v.fb)
-        if v.z is not None:
+        if v.tag is not CaseTag.SQUARE_EQUAL:
             correlation = _correlation(v.z[:n])
     if lhs.zero:
         relative_gap = 0.0 if rhs.zero else 1.0

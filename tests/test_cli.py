@@ -424,20 +424,23 @@ def test_classify_prints_tag_and_clause(files, capsys):
     run(["classify", "--a", files["deficient"], "--b", files["tall"]])
     assert capsys.readouterr().out.splitlines()[0] == "RankDeficientZero"
 
-    code = run(
-        ["classify", "--a", files["tall"], "--b", files["tall_other"], "--subspace-tol", "1e-6"]
-    )
+    code = run(["classify", "--a", files["tall"], "--b", files["tall_other"], "--tol", "1e-6"])
     assert code == 0
     assert capsys.readouterr().out.splitlines()[0] == "FullRankStrict"
 
-    # a tolerance outside (0, 1) is refused whatever the shape, by classify
-    # and verify alike
-    for a, b in [("i3", "i3"), ("wide", "wide"), ("tall", "tall_span")]:
-        for tol in ("0", "-1", "nan", "inf", "1", "20"):
-            for command, flag in ("classify", "--subspace-tol"), ("verify", "--tol"):
-                code = run([command, "--a", files[a], "--b", files[b], flag, tol])
+    # a tolerance outside (0, 1) is refused whatever the shape, by classify,
+    # verify and fuzz alike, and classify's old spelling is gone
+    for tol in ("0", "-1", "nan", "inf", "1", "20"):
+        for a, b in [("i3", "i3"), ("wide", "wide"), ("tall", "tall_span")]:
+            for command in ("classify", "verify"):
+                code = run([command, "--a", files[a], "--b", files[b], "--tol", tol])
                 assert code == 2
                 assert capsys.readouterr().out == ""
+        assert run(["fuzz", "--trials", "1", "--tol", tol]) == 2
+        assert capsys.readouterr().out == ""
+    with pytest.raises(SystemExit) as exc:
+        run(["classify", "--a", files["i3"], "--b", files["i3"], "--subspace-tol", "1e-6"])
+    assert exc.value.code == 2
 
 
 def test_fuzz_small_run_passes(capsys):
@@ -456,20 +459,15 @@ def test_fuzz_repeat_runs_identical(capsys):
     assert first == second
 
 
-def test_fuzz_env_seed_override(monkeypatch, capsys):
+def test_fuzz_seed_is_the_flag_alone(monkeypatch, capsys):
+    # the command line is a function of its arguments: the environment
+    # cannot replace --seed
+    monkeypatch.delenv("DETCS_SEED", raising=False)
     run(["fuzz", "--trials", "5", "--seed", "123"])
     direct = capsys.readouterr().out
-    monkeypatch.setenv("DETCS_SEED", "123")
-    run(["fuzz", "--trials", "5", "--seed", "999"])
-    overridden = capsys.readouterr().out
-    assert direct == overridden
-
-
-def test_fuzz_bad_env_seed_exits_2(monkeypatch, capsys):
-    monkeypatch.setenv("DETCS_SEED", "not-a-number")
-    code = run(["fuzz", "--trials", "1", "--seed", "0"])
-    assert code == 2
-    assert "DETCS_SEED" in capsys.readouterr().err
+    monkeypatch.setenv("DETCS_SEED", "999")
+    run(["fuzz", "--trials", "5", "--seed", "123"])
+    assert capsys.readouterr().out == direct
 
 
 def test_fuzz_bad_ensemble_exits_2(capsys):
@@ -557,14 +555,13 @@ def test_fuzz_bytes_do_not_depend_on_the_simd_dispatch_level():
     if not features.get("X86_V3"):
         pytest.skip("numpy reports no X86_V3 dispatch level on this CPU")
     disabled = " ".join(f for f in ("AVX512_ICL", "AVX512_SPR", "X86_V4", "X86_V3") if f in dispatch)
-    env = {k: v for k, v in os.environ.items() if k != "DETCS_SEED"}
     outputs = []
     for extra in ({}, {"NPY_DISABLE_CPU_FEATURES": disabled}):
         proc = subprocess.run(
             [sys.executable, "-m", "detcs", "fuzz", "--trials", "200", "--seed", "7"],
             capture_output=True,
             text=True,
-            env={**env, **extra},
+            env={**os.environ, **extra},
         )
         assert proc.returncode == 0, proc.stderr[-300:]
         outputs.append(proc.stdout)
@@ -641,8 +638,7 @@ print(loaded, sorted(f"{r.__module__}.{r.__qualname__}" for r in records))
 
 
 def probe(code):
-    env = {k: v for k, v in os.environ.items() if k != "DETCS_SEED"}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr[-300:]
     return proc.stdout
 
@@ -707,14 +703,13 @@ def test_repeated_runs_print_identical_bytes(tmp_path):
     save_matrix(tmp_path / "b.mat", complex_normal(rng, 64, 32))
     g = complex_normal(rng, 64, 64)
     save_matrix(tmp_path / "m.mat", matmul(conj_transpose(g), g) / 64.0 + 0.5 * np.eye(64))
-    env = {k: v for k, v in os.environ.items() if k != "DETCS_SEED"}
     commands = [
         ["fuzz", "--trials", "200", "--seed", "7"],
         ["verify", "--json"] + [f"--{x}={tmp_path / x}.mat" for x in "abm"],
     ]
     for argv in commands:
         runs = [
-            subprocess.run([sys.executable, "-m", "detcs", *argv], capture_output=True, env=env)
+            subprocess.run([sys.executable, "-m", "detcs", *argv], capture_output=True)
             for _ in range(2)
         ]
         assert [r.returncode for r in runs] == [0, 0], runs[0].stderr[-300:]
