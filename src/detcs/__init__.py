@@ -18,14 +18,12 @@ from .errors import (
     WrongRegime,
 )
 from .inequality import (
-    ENSEMBLES,
     EQUALITY_TOL,
     CaseTag,
     CsReport,
     classify_case,
     column_norm_profile,
     det_correlation,
-    enforce_equality_contract,
     verify_inequality,
     whitened_pair,
 )
@@ -33,7 +31,6 @@ from .linalg import (
     HpdFactor,
     SignedLogDet,
     SubspaceBasis,
-    as_matrix,
     cholesky_hpd,
     conj_transpose,
     log_det,
@@ -60,7 +57,6 @@ __all__ = [
     "OracleError",
     "RankDeficient",
     "WrongRegime",
-    "ENSEMBLES",
     "FuzzConfig",
     "FuzzSummary",
     "run_fuzz",
@@ -70,13 +66,11 @@ __all__ = [
     "classify_case",
     "column_norm_profile",
     "det_correlation",
-    "enforce_equality_contract",
     "verify_inequality",
     "whitened_pair",
     "HpdFactor",
     "SignedLogDet",
     "SubspaceBasis",
-    "as_matrix",
     "cholesky_hpd",
     "conj_transpose",
     "log_det",

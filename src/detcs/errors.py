@@ -6,15 +6,7 @@ class DetcsError(Exception):
 
 
 class RankDeficient(DetcsError):
-    """A matrix required to have full column rank does not.
-
-    Carries the estimated rank so callers can report how far short the
-    input fell.
-    """
-
-    def __init__(self, message, estimated_rank):
-        super().__init__(message)
-        self.estimated_rank = estimated_rank
+    """A matrix required to have full column rank does not."""
 
 
 class WrongRegime(DetcsError):

@@ -90,7 +90,7 @@ class CsReport:
     ``lhs_log`` carries |det(A*MB)|^2 and ``rhs_log`` carries
     det(A*MA) det(B*MB), both in signed-log form.  ``correlation`` is present
     exactly for the two full-rank tall regimes, where the proof's
-    |det(Qa*Qb)| is defined.
+    |det(Qa*Qb)| is defined.  ``equality`` is read from the tag.
     """
 
     case_tag: CaseTag
@@ -98,8 +98,11 @@ class CsReport:
     rhs_log: SignedLogDet
     correlation: float | None
     relative_gap: float
-    equality: bool
     tol_used: float
+
+    @property
+    def equality(self) -> bool:
+        return self.case_tag.implies_equality()
 
 
 def _same_shape(a, b):
@@ -227,10 +230,7 @@ def _correlated(a, b, m_fac: HpdFactor | None) -> tuple[_Verdict, float]:
     if v.tag in (CaseTag.WIDE_EQUAL_ZERO, CaseTag.SQUARE_EQUAL):
         raise WrongRegime(f"correlation is defined only for m > n, got {m} x {n}")
     if v.tag is CaseTag.RANK_DEFICIENT_ZERO:
-        raise RankDeficient(
-            f"columns are linearly dependent within tolerance {RANK_TOL:g}",
-            estimated_rank=min(v.fa.rank, v.fb.rank),
-        )
+        raise RankDeficient(f"columns are linearly dependent within tolerance {RANK_TOL:g}")
     return v, _correlation(v.z[:n])
 
 
@@ -331,7 +331,6 @@ def _report(v: _Verdict) -> CsReport:
         rhs_log=rhs,
         correlation=correlation,
         relative_gap=relative_gap,
-        equality=v.tag.implies_equality(),
         tol_used=tol,
     )
     enforce_equality_contract(report)

@@ -63,7 +63,8 @@ def parse_matrix(text: str) -> np.ndarray:
         raise MatrixParseError("empty input: no header line")
     if len(rows) != shape[0]:
         raise MatrixParseError(f"expected {shape[0]} data line(s), found {len(rows)}")
-    return as_matrix(np.array(rows, dtype=np.float64).view(np.complex128))
+    # every token, count and row was checked above: no second pass over the array
+    return np.array(rows, dtype=np.float64).view(np.complex128)
 
 
 def serialize_matrix(a) -> str:

@@ -668,7 +668,7 @@ def test_fuzz_help_lists_the_ensembles(capsys):
 
 
 def test_every_export_resolves():
-    assert len(set(detcs.__all__)) == len(detcs.__all__) == 33
+    assert len(set(detcs.__all__)) == len(detcs.__all__) == 30
     for name in detcs.__all__:
         assert hasattr(detcs, name), name
     # the reference routes are reached only through detcs.oracles

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from detcs import CaseTag, FuzzConfig, classify_case, conj_transpose, matmul, run_fuzz
-from detcs.fuzz import ENSEMBLES, check_instance, draw_instance, trial_rng
+from detcs.fuzz import ENSEMBLES, check_instance, complex_normal, draw_instance, trial_rng
 from detcs.linalg import factor_columns
 
 
@@ -78,6 +78,16 @@ def test_weighted_draw_builds_valid_weight():
         assert fac is not None
         recon = matmul(conj_transpose(fac.w_factor), fac.w_factor)
         assert np.linalg.norm(recon - fac.m_matrix) <= 1e-11 * np.linalg.norm(fac.m_matrix)
+        # the weight is G*G + 1e-3 I for the G the trial's stream draws
+        # after the shape and both operands
+        rng = trial_rng(9, "weighted", t)
+        m = int(rng.integers(1, 7))
+        n = int(rng.integers(1, 7))
+        assert np.array_equal(complex_normal(rng, m, n), inst.a)
+        assert np.array_equal(complex_normal(rng, m, n), inst.b)
+        g = complex_normal(rng, m, m)
+        expected = matmul(conj_transpose(g), g) + 1e-3 * np.eye(m)
+        assert np.array_equal(fac.m_matrix, expected)
 
 
 def test_tiny_shapes_pigeonhole_to_wide_or_square():

@@ -25,7 +25,6 @@ from detcs import (
     column_norm_profile,
     conj_transpose,
     det_correlation,
-    enforce_equality_contract,
     matmul,
     save_matrix,
     verify_inequality,
@@ -34,6 +33,7 @@ from detcs import (
 from detcs import inequality, linalg, oracles
 from detcs.cli import run
 from detcs.fuzz import complex_normal
+from detcs.inequality import enforce_equality_contract
 from detcs.linalg import factor_columns
 from detcs.oracles import det_cofactor, matmul_naive
 
@@ -166,6 +166,19 @@ def test_det_correlation_identical_spans():
     rng = np.random.default_rng(44)
     a = complex_normal(rng, 4, 2)
     assert abs(det_correlation(a, a) - 1.0) <= 1e-10
+
+
+def test_det_correlation_is_exactly_one_when_rounding_lands_above():
+    # |det(Qa*Qa)| computed from a draw's own factors can round a few ulps
+    # above 1; det_correlation clamps such a raw value to 1.0 exactly
+    for seed in range(200):
+        a = complex_normal(np.random.default_rng(seed), 12, 6)
+        v = inequality._verdict(a, a, None, EQUALITY_TOL)
+        if inequality.log_det(v.z[:6]).magnitude() > 1.0:
+            break
+    else:
+        pytest.fail("no seeded draw rounds above 1")
+    assert det_correlation(a, a) == 1.0
 
 
 def test_det_correlation_orthogonal_spans():
@@ -440,6 +453,12 @@ def test_verify_absurd_tolerance_raises_on_positive_roundoff():
     assert pair is not None
     with pytest.raises(InequalityViolation):
         verify_inequality(*pair, tol=1e-18)
+    # the bound is log(1 + tol), no wider: a tol that puts the slack
+    # 1.5 times past it raises too
+    report = verify_inequality(*pair)
+    slack = report.lhs_log.log_magnitude - report.rhs_log.log_magnitude
+    with pytest.raises(InequalityViolation, match="exceeds log"):
+        verify_inequality(*pair, tol=math.expm1(slack) / 1.5)
 
 
 def test_equality_contract_trips_below_roundoff():
@@ -773,11 +792,26 @@ def test_equality_contract_rejects_a_zero_side_beside_a_positive_one():
         rhs_log=SignedLogDet(1.0 + 0j, -193.6),
         correlation=1.0,
         relative_gap=1.0,
-        equality=True,
         tol_used=1e-9,
     )
     with pytest.raises(InequalityViolation, match="relative gap is 1.0"):
         enforce_equality_contract(report)
+    # the contract's bound is tol itself: a gap of 1.5 tol raises, 0.5 tol passes
+    for gap, raises in (1.5e-9, True), (0.5e-9, False):
+        report = CsReport(
+            case_tag=CaseTag.FULL_RANK_SAME_SPAN,
+            lhs_log=SignedLogDet(1.0 + 0j, -193.6 + math.log1p(-gap)),
+            rhs_log=SignedLogDet(1.0 + 0j, -193.6),
+            correlation=1.0,
+            relative_gap=gap,
+            tol_used=1e-9,
+        )
+        assert report.equality
+        if raises:
+            with pytest.raises(InequalityViolation, match="demands equality"):
+                enforce_equality_contract(report)
+        else:
+            enforce_equality_contract(report)
 
 
 def test_ill_conditioned_same_span_never_passes_with_a_zero_side(tmp_path, capsys):

@@ -15,7 +15,6 @@ from detcs import (
     NotPositiveDefinite,
     SignedLogDet,
     SubspaceBasis,
-    as_matrix,
     cholesky_hpd,
     conj_transpose,
     log_det,
@@ -23,7 +22,7 @@ from detcs import (
 )
 from detcs import linalg
 from detcs.fuzz import complex_normal
-from detcs.linalg import HpdFactor, factor_columns, factor_lanes
+from detcs.linalg import HpdFactor, as_matrix, factor_columns, factor_lanes
 from detcs.oracles import det_cofactor, matmul_naive
 
 
@@ -430,11 +429,18 @@ def test_cholesky_rejects_non_hermitian():
     bad = np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex)
     with pytest.raises(NotHermitian):
         cholesky_hpd(bad)
+    # a relative asymmetry of 1e-9 is far past the 1e-12 allowance
+    slight = np.array([[2.0, 1.0], [1.0 + 2e-9, 2.0]], dtype=complex)
+    with pytest.raises(NotHermitian):
+        cholesky_hpd(slight)
 
 
 def test_cholesky_rejects_indefinite():
     with pytest.raises(NotPositiveDefinite):
         cholesky_hpd(np.diag([1.0, -2.0]).astype(complex))
+    # a positive pivot below 1e-13 of the largest diagonal entry is refused too
+    with pytest.raises(NotPositiveDefinite):
+        cholesky_hpd(np.diag([1.0, 1e-14]).astype(complex))
 
 
 def test_cholesky_rejects_non_square():
@@ -482,6 +488,9 @@ def test_subspace_basis_validates():
         SubspaceBasis(complex_normal(rng, 5, 2))
     with pytest.raises(ValueError):
         SubspaceBasis(np.zeros((2, 3), dtype=complex))
+    # a 1e-9 perturbation is far past the 1e-11 orthonormality allowance
+    with pytest.raises(ValueError, match="not orthonormal"):
+        SubspaceBasis(q + 1e-9 * complex_normal(rng, 5, 2))
 
 
 def assert_same_factors(alone, lane, m):

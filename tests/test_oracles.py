@@ -6,9 +6,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from detcs import (
-    ENSEMBLES,
     EQUALITY_TOL,
     OracleError,
+    SignedLogDet,
     SubspaceBasis,
     WrongRegime,
     conj_transpose,
@@ -19,7 +19,7 @@ from detcs import (
     oracles,
     verify_inequality,
 )
-from detcs.fuzz import complex_normal, draw_instance, trial_rng
+from detcs.fuzz import ENSEMBLES, complex_normal, draw_instance, trial_rng
 from detcs.linalg import factor_columns
 from detcs.oracles import (
     COFACTOR_MAX_N,
@@ -104,6 +104,15 @@ def test_hermitian_eigenvalues_match_numpy():
         ours = np.array(hermitian_eigenvalues(h))
         ref = np.linalg.eigvalsh(h)
         assert_allclose(ours, ref, rtol=0, atol=1e-11 * max(1.0, float(ref.max())))
+    # clusters 1e-11 and 1e-12 apart: Jacobi must drive the off-diagonal
+    # mass far enough down to resolve them
+    spectrum = np.array([1.0, 1.0 + 1e-11, 1.0 + 1.1e-11, 2.0, 2.0 + 1e-12, 3.0])
+    for seed in range(6):
+        u = factor_columns(complex_normal(np.random.default_rng(seed), 6, 6)).basis()
+        h = matmul(u * spectrum, conj_transpose(u))
+        h = 0.5 * (h + conj_transpose(h))
+        ours = np.array(hermitian_eigenvalues(h))
+        assert_allclose(ours, np.linalg.eigvalsh(h), rtol=0, atol=2e-12)
 
 
 def test_hermitian_eigenvalues_require_a_square_matrix():
@@ -229,6 +238,21 @@ def test_gram_check_forms_no_product_past_the_cofactor_limit(count_calls):
         calls.clear()
         check_gram_dets(a, b, report.lhs_log, report.rhs_log)
         assert calls == expected, (m, n)
+
+
+def test_gram_check_refuses_a_zero_flag_on_a_small_positive_det():
+    # B's third column is orthogonal to span(A) but for a 1e-6 tilt, so
+    # det(A*B) is about 2e-7 * scale^3: small, yet far above the 1e-8 that a
+    # left side flagged zero may leave
+    rng = np.random.default_rng(0)
+    q = factor_columns(complex_normal(rng, 6, 6)).basis()
+    a = matmul(q[:, :3], complex_normal(rng, 3, 3))
+    b = complex_normal(rng, 6, 3)
+    b[:, 2] = q[:, 3] + 1e-6 * q[:, 0]
+    report = verify_inequality(a, b)
+    check_gram_dets(a, b, report.lhs_log, report.rhs_log)
+    with pytest.raises(OracleError, match="lhs is zero"):
+        check_gram_dets(a, b, SignedLogDet.of_zero(), report.rhs_log)
 
 
 def test_gram_check_passes_fuzz_traffic():
