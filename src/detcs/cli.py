@@ -243,7 +243,3 @@ def run(argv=None) -> int:
     except (DetcsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(run(argv=None))

@@ -166,7 +166,7 @@ def _correlation(overlap: np.ndarray) -> float:
 
 def _gram_log_det(f: ColumnFactors) -> SignedLogDet:
     """det(X*X) = |det R|^2 for a full-column-rank X = QR."""
-    return SignedLogDet(1.0 + 0j, 2.0 * sum(math.log(d) for d in f.diag), False)
+    return SignedLogDet(1.0 + 0j, 2.0 * sum(math.log(d) for d in f.diag))
 
 
 class _Verdict(NamedTuple):

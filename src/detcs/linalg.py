@@ -78,46 +78,43 @@ class SignedLogDet(NamedTuple):
     """A determinant stored as unit phase plus log magnitude.
 
     Products of determinants overflow double precision well inside desk
-    scale, so determinants never leave this form inside the package.  When
-    ``zero`` is set the phase is meaningless and ``log_magnitude`` is -inf.
+    scale, so determinants never leave this form inside the package.  A zero
+    determinant is the one with log magnitude -inf; its phase is meaningless.
+    IEEE arithmetic keeps it zero: exp(-inf) = 0, and -inf plus any log is
+    -inf.
     """
 
     phase: complex
     log_magnitude: float
-    zero: bool = False
+
+    @property
+    def zero(self) -> bool:
+        return self.log_magnitude == -math.inf
 
     @staticmethod
     def of_zero() -> "SignedLogDet":
-        return SignedLogDet(0j, float("-inf"), True)
+        return SignedLogDet(0j, -math.inf)
 
     def magnitude(self) -> float:
-        return 0.0 if self.zero else math.exp(self.log_magnitude)
+        return math.exp(self.log_magnitude)
 
     def value(self) -> complex:
-        return 0j if self.zero else self.phase * math.exp(self.log_magnitude)
+        return self.phase * math.exp(self.log_magnitude)
 
     def abs_squared(self) -> "SignedLogDet":
         """The determinant's squared magnitude, still in log form."""
-        if self.zero:
-            return SignedLogDet.of_zero()
-        return SignedLogDet(1.0 + 0j, 2.0 * self.log_magnitude, False)
+        return SignedLogDet(1.0 + 0j, 2.0 * self.log_magnitude)
 
     def __mul__(self, other: "SignedLogDet") -> "SignedLogDet":
-        if self.zero or other.zero:
-            return SignedLogDet.of_zero()
-        return SignedLogDet(
-            self.phase * other.phase,
-            self.log_magnitude + other.log_magnitude,
-            False,
-        )
+        return SignedLogDet(self.phase * other.phase, self.log_magnitude + other.log_magnitude)
 
 
 def log_det(a: np.ndarray) -> SignedLogDet:
     """Determinant of a square matrix via LU with partial pivoting.
 
     A pivot below ``SINGULARITY_TOL`` times the largest input magnitude marks
-    the matrix singular (``zero=True``) instead of polluting the result with
-    log-of-noise.
+    the matrix singular (log magnitude -inf) instead of polluting the result
+    with log-of-noise.
     """
     n, cols = a.shape
     if n != cols:
@@ -149,7 +146,7 @@ def log_det(a: np.ndarray) -> SignedLogDet:
             # np.outer does: a 1-D broadcast of the pivot row can round
             # differently
             lu[k + 1 :] -= factors[:, None] * lu[None, k]
-    return SignedLogDet(phase, log_mag, False)
+    return SignedLogDet(phase, log_mag)
 
 
 class _Record:

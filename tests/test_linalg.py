@@ -234,13 +234,13 @@ def block_log_det(a):
         if k + 1 < n:
             factors = lu[k + 1 :, k] / pivot
             lu[k + 1 :, k + 1 :] -= factors[:, None] * lu[None, k, k + 1 :]
-    return SignedLogDet(phase, log_mag, False)
+    return SignedLogDet(phase, log_mag)
 
 
 def same_log_det(x, y):
-    """Equal flags and bit patterns of the phase and the log magnitude."""
+    """Equal bit patterns of the phase and the log magnitude."""
     bits = [np.array([d.phase, d.log_magnitude]).view(np.uint64) for d in (x, y)]
-    return x.zero == y.zero and np.array_equal(*bits)
+    return np.array_equal(*bits)
 
 
 def test_whole_row_elimination_is_the_block_elimination():
@@ -280,9 +280,10 @@ def test_whole_row_elimination_is_the_block_elimination():
 
 def test_records_keep_their_fields_read_only():
     x = SignedLogDet(1j, -0.5)
-    assert repr(x) == "SignedLogDet(phase=1j, log_magnitude=-0.5, zero=False)"
-    assert x == SignedLogDet(1j, -0.5, False) and x != SignedLogDet(1j, -0.5, True)
-    assert hash(x) == hash((1j, -0.5, False))
+    assert repr(x) == "SignedLogDet(phase=1j, log_magnitude=-0.5)"
+    # zero is read from the log, so a zero cannot carry a finite one
+    assert x == SignedLogDet(1j, -0.5) and not x.zero
+    assert hash(x) == hash((1j, -0.5))
     rng = np.random.default_rng(14)
     a = complex_normal(rng, 4, 2)
     weight = matmul(conj_transpose(a), a) + np.eye(2)
@@ -317,6 +318,23 @@ def test_signed_log_det_arithmetic():
     assert x.magnitude() == math.exp(2.0)
 
 
+def test_zero_is_the_minus_inf_log():
+    assert SignedLogDet._fields == ("phase", "log_magnitude")
+    zero = SignedLogDet.of_zero()
+    assert zero == (0j, -math.inf) and zero.zero
+    with pytest.raises(AttributeError):
+        zero.zero = False
+    assert zero.magnitude() == 0.0 and zero.value() == 0j
+    for x in (SignedLogDet(1j, 2.0), SignedLogDet(-1.0 + 0j, -745.0), zero):
+        assert (zero * x).zero and (x * zero).zero
+    assert zero.abs_squared().zero
+    for log in (0.0, -745.0, 1e300, -1e300):
+        x = SignedLogDet(1j, log)
+        assert not x.zero and not x.abs_squared().zero and not (x * x).zero
+    # a singular log_det reads zero: test_log_det_zero_matrix_flagged and
+    # test_log_det_singular_flagged
+
+
 # The thin QR of a matrix is read from its column-pivoted factorization: the
 # basis is the thin Q, |diag R| is kept, and R itself is never formed.
 
@@ -331,7 +349,7 @@ def assert_spans(f, a, tol):
     assert np.linalg.norm(f.adjoint_apply(a)[p:]) <= tol * np.linalg.norm(a)
 
 
-def test_qr_thin_single_basis_column():
+def test_factor_columns_single_basis_column():
     # the reflector maps e1 to -e1, and |r| = 1
     a = np.array([[1.0], [0.0], [0.0]], dtype=complex)
     f = factor_columns(a)
@@ -339,13 +357,13 @@ def test_qr_thin_single_basis_column():
     assert np.array_equal(f.diag, np.array([1.0]))
 
 
-def test_qr_thin_scaled_identity():
+def test_factor_columns_scaled_identity():
     f = factor_columns(2.0 * np.eye(2, dtype=complex))
     assert np.array_equal(f.basis(), -np.eye(2, dtype=complex))
     assert np.array_equal(f.diag, np.array([2.0, 2.0]))
 
 
-def test_qr_thin_reconstructs():
+def test_factor_columns_reconstructs():
     rng = np.random.default_rng(18)
     a = complex_normal(rng, 5, 3)
     f = factor_columns(a)
@@ -355,7 +373,7 @@ def test_qr_thin_reconstructs():
     assert abs(np.prod(f.diag) ** 2 - gram_det) <= 1e-12 * gram_det
 
 
-def test_qr_thin_invariants_up_to_64_rows():
+def test_factor_columns_invariants_up_to_64_rows():
     rng = np.random.default_rng(19)
     for m, n in [(8, 8), (12, 5), (33, 9), (64, 17)]:
         a = complex_normal(rng, m, n)
@@ -448,13 +466,13 @@ def test_cholesky_rejects_non_square():
         cholesky_hpd(np.zeros((2, 3), dtype=complex))
 
 
-def test_estimate_rank_examples():
+def test_factor_columns_rank_examples():
     assert factor_columns(np.zeros((3, 2), dtype=complex)).rank == 0
     assert factor_columns(np.eye(3, dtype=complex)).rank == 3
     assert factor_columns(np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)).rank == 1
 
 
-def test_estimate_rank_constructed():
+def test_factor_columns_rank_of_constructed_products():
     rng = np.random.default_rng(23)
     for _ in range(40):
         m = int(rng.integers(2, 10))
@@ -464,7 +482,7 @@ def test_estimate_rank_constructed():
         assert factor_columns(a).rank == r
 
 
-def test_estimate_rank_invariant_under_nonsingular_factor():
+def test_factor_columns_rank_invariant_under_nonsingular_factor():
     rng = np.random.default_rng(24)
     for _ in range(20):
         n = int(rng.integers(2, 6))
