@@ -164,9 +164,8 @@ def run_fuzz(config: FuzzConfig) -> FuzzSummary:
                 continue
             st.passes += 1
             st.tag_counts[report.case_tag.value] += 1
-            if not report.lhs_log.zero and not report.rhs_log.zero:
-                slack = report.lhs_log.log_magnitude - report.rhs_log.log_magnitude
-                if slack > st.worst_slack:
-                    st.worst_slack = slack
+            slack = report.lhs_log.log_magnitude - report.rhs_log.log_magnitude
+            if slack > st.worst_slack:  # never when a side is zero: nan or -inf
+                st.worst_slack = slack
         stats.append(st)
     return FuzzSummary(config=config, stats=stats, violations=violations)

@@ -310,14 +310,13 @@ def _report(v: _Verdict) -> CsReport:
         # pair, or a singular SquareEqual one): both sides vanish by rank
         # arithmetic, and no determinant is evaluated
         lhs = rhs = SignedLogDet.of_zero()
+        relative_gap = 0.0
     else:
         lhs = log_det(matmul(conj_transpose(v.a), v.b)).abs_squared()
         rhs = _gram_log_det(v.fa) * _gram_log_det(v.fb)
         if v.tag is not CaseTag.SQUARE_EQUAL:
             correlation = _correlation(v.z[:n])
-    if lhs.zero:
-        relative_gap = 0.0 if rhs.zero else 1.0
-    else:
+        # an LU that finds A*B singular gives slack -inf here, so gap 1
         slack = lhs.log_magnitude - rhs.log_magnitude
         if slack > math.log1p(tol):
             raise InequalityViolation(

@@ -25,8 +25,8 @@ UNIT_SLACK = 1e-10        # a computed cosine, correlation or column norm may ex
 
 
 def as_matrix(entries) -> np.ndarray:
-    """Coerce ``entries`` to a 2-D complex128 matrix, rejecting NaN/Inf."""
-    a = np.array(entries, dtype=np.complex128, order="C", ndmin=2)
+    """Coerce 2-D ``entries`` (a vector is an m x 1 column) to complex128, rejecting NaN/Inf."""
+    a = np.array(entries, dtype=np.complex128, order="C")
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise ValueError(f"expected an m x n matrix with m, n >= 1, got shape {a.shape}")
     if not np.isfinite(a).all():

@@ -81,7 +81,8 @@ def load_matrix(path) -> np.ndarray:
     try:
         return parse_matrix(_ascii_text(data))
     except MatrixParseError as exc:
-        raise MatrixParseError(f"{path}: {exc.args[0]}") from exc
+        exc.args = (f"{path}: {exc.args[0]}",)  # the message names the file; ``line`` stays
+        raise
 
 
 def _ascii_text(data: bytes) -> str:

@@ -451,6 +451,14 @@ def test_fuzz_small_run_passes(capsys):
     assert "total: 20/20 passed" in out
 
 
+def test_fuzz_slack_reads_n_a_without_a_positive_pair(capsys):
+    # every rank_deficient verdict has both sides zero, so no slack is kept
+    assert run(["fuzz", "--ensembles", "ginibre,rank_deficient", "--trials", "3", "--seed", "7"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith("ginibre: 3 passed, 0 violation(s), worst log slack -4.05")
+    assert lines[2].startswith("rank_deficient: 3 passed, 0 violation(s), worst log slack n/a,")
+
+
 def test_fuzz_repeat_runs_identical(capsys):
     run(["fuzz", "--trials", "8", "--seed", "9"])
     first = capsys.readouterr().out

@@ -55,11 +55,27 @@ def test_ginibre_draw_respects_bounds():
 
 
 def test_rank_deficient_draw_is_deficient():
+    deficient = set()
     for t in range(30):
         inst = draw_instance("rank_deficient", trial_rng(7, "rank_deficient", t), 8, 8)
         m, n = inst.a.shape
         assert m > n >= 2
-        assert min(factor_columns(inst.a).rank, factor_columns(inst.b).rank) < n
+        which = (factor_columns(inst.a).rank < n, factor_columns(inst.b).rank < n)
+        assert any(which)
+        deficient.add(which)
+    # A alone (trial 0), B alone (trial 5) and both (trial 1) are drawn
+    assert deficient == {(True, False), (False, True), (True, True)}
+
+
+def test_worst_slack_is_the_largest_slack_between_positive_sides():
+    config = FuzzConfig(trials=30, seed=7)
+    for st in run_fuzz(config).stats:
+        slacks = []
+        for t in range(config.trials):
+            report = check_instance(draw_instance(st.name, trial_rng(7, st.name, t), 8, 8), config.tol)
+            if not report.lhs_log.zero:
+                slacks.append(report.lhs_log.log_magnitude - report.rhs_log.log_magnitude)
+        assert st.worst_slack == max(slacks, default=float("-inf")), st.name
 
 
 def test_shared_span_draw_shares_span():

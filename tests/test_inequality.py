@@ -5,6 +5,7 @@ import ast
 import collections
 import math
 import pathlib
+import re
 import warnings
 
 import numpy as np
@@ -139,7 +140,7 @@ def test_whitened_pair_weight_shape_mismatch():
     rng = np.random.default_rng(42)
     fac = hpd(rng, 4)
     a = complex_normal(rng, 3, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="weight is 4 x 4 but the matrices have 3 rows"):
         whitened_pair(a, a, fac)
 
 
@@ -427,8 +428,26 @@ def test_verify_rejects_bad_tol_and_shape():
     a = complex_normal(rng, 3, 2)
     with pytest.raises(ValueError):
         verify_inequality(a, a, tol=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="a and b must share a shape"):
         verify_inequality(a, complex_normal(rng, 2, 2))
+    # unchecked, this pair would verify as WideEqualZero
+    with pytest.raises(ValueError, match="a and b must share a shape"):
+        verify_inequality(complex_normal(rng, 2, 3), complex_normal(rng, 2, 5))
+
+
+def test_operands_are_matrices_and_a_vector_is_a_column():
+    # n = 1 is the classical Cauchy-Schwarz inequality for two vectors, which
+    # are passed as m x 1 columns; a 1-D or 0-D operand is refused, not read
+    # as a 1 x m row of the wide regime
+    for operand in ([1.0, 2.0, 3.0], 2.0):
+        shape = np.shape(operand)
+        with pytest.raises(ValueError, match=f"got shape {re.escape(str(shape))}"):
+            verify_inequality(operand, operand)
+        with pytest.raises(ValueError, match=f"got shape {re.escape(str(shape))}"):
+            cholesky_hpd(operand)
+    report = verify_inequality([[1], [2], [3]], [[4], [5], [6]])
+    assert report.case_tag is CaseTag.FULL_RANK_STRICT
+    assert report.relative_gap == 0.050092764378479156
 
 
 def square_pair_with_roundoff(sign):

@@ -43,6 +43,8 @@ def test_as_matrix_rejects_empty_and_wrong_ndim():
 def test_matmul_identity():
     eye = np.eye(2, dtype=complex)
     assert np.array_equal(matmul(eye, eye), eye)
+    # real operands give a complex product
+    assert matmul(np.eye(2), np.eye(2)).dtype == np.complex128
 
 
 def test_matmul_permutation_swaps_rows():
@@ -120,7 +122,7 @@ def test_matmul_holds_one_term_not_one_per_inner_index():
 
 
 def test_matmul_shape_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cannot multiply shapes"):
         matmul(np.zeros((2, 3), dtype=complex), np.zeros((2, 3), dtype=complex))
 
 
@@ -462,8 +464,12 @@ def test_cholesky_rejects_indefinite():
 
 
 def test_cholesky_rejects_non_square():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="weight matrix must be square"):
         cholesky_hpd(np.zeros((2, 3), dtype=complex))
+    # unchecked, M - M* of this 1 x 2 "weight" would broadcast to zero and
+    # it would factor to W = [[sqrt 2]]
+    with pytest.raises(ValueError, match="weight matrix must be square"):
+        cholesky_hpd([[2, 2]])
 
 
 def test_factor_columns_rank_examples():
@@ -504,7 +510,7 @@ def test_subspace_basis_validates():
     assert basis.shape == (5, 2)
     with pytest.raises(ValueError):
         SubspaceBasis(complex_normal(rng, 5, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="needs m >= n"):
         SubspaceBasis(np.zeros((2, 3), dtype=complex))
     # a 1e-9 perturbation is far past the 1e-11 orthonormality allowance
     with pytest.raises(ValueError, match="not orthonormal"):

@@ -27,6 +27,8 @@ def test_round_trip_is_bit_exact():
     a[0, 0] = complex(-0.0, 0.0)
     again = parse_matrix(serialize_matrix(a))
     assert a.tobytes() == again.tobytes()
+    # any memory order writes the same text
+    assert serialize_matrix(np.asfortranarray(a)) == serialize_matrix(a)
 
 
 def test_serialize_uses_shortest_decimals():
@@ -93,7 +95,14 @@ def test_load_names_file_in_error(tmp_path):
     path.write_text("1 1\n1\n")
     with pytest.raises(MatrixParseError) as err:
         load_matrix(path)
-    assert "bad.mat" in str(err.value)
+    assert str(err.value) == f"{path}: line 2: expected 2 numbers (re im pairs for 1 entries), got 1"
+    # the line survives the file name, as parse_matrix reports it
+    assert err.value.line == 2
+    path.write_bytes(b"1 1\n\xff 0\n")
+    with pytest.raises(MatrixParseError) as err:
+        load_matrix(path)
+    assert str(err.value) == f"{path}: line 2: byte 0xff is not ASCII"
+    assert err.value.line == 2
 
 
 def test_load_names_file_and_line_of_non_ascii_byte(tmp_path):

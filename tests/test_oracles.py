@@ -113,6 +113,9 @@ def test_hermitian_eigenvalues_match_numpy():
         h = 0.5 * (h + conj_transpose(h))
         ours = np.array(hermitian_eigenvalues(h))
         assert_allclose(ours, np.linalg.eigvalsh(h), rtol=0, atol=2e-12)
+    # an exactly zero off-diagonal pair is skipped: rotating it divides 0 by 0
+    h = np.array([[1.0, 0.0, 1.0], [0.0, 2.0, 0.0], [1.0, 0.0, 3.0]])
+    assert_allclose(hermitian_eigenvalues(h), np.linalg.eigvalsh(h), rtol=0, atol=1e-14)
 
 
 def test_hermitian_eigenvalues_require_a_square_matrix():
@@ -176,6 +179,24 @@ def test_principal_angles_sorted_and_product_matches_correlation():
         angles = principal_angle_cosines(qa, qb)
         assert list(angles.cosines) == sorted(angles.cosines, reverse=True)
         assert abs(angles.correlation() - det_correlation(a, b)) <= 1e-9
+
+
+def test_principal_angles_read_a_negative_squared_cosine_as_zero():
+    # Qa and Qb share one direction and are orthogonal across the other, so
+    # one squared cosine is exactly 0; Jacobi lands it just below 0 for
+    # about a third of the seeds
+    negatives = 0
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        u = factor_columns(complex_normal(rng, 3, 3)).basis()
+        r = factor_columns(complex_normal(rng, 2, 2)).basis()
+        qa, qb = u[:, :2], matmul(u[:, [0, 2]], r)
+        p = matmul(conj_transpose(qa), qb)
+        if hermitian_eigenvalues(matmul(conj_transpose(p), p))[0] < 0.0:
+            negatives += 1
+            angles = principal_angle_cosines(SubspaceBasis(qa), SubspaceBasis(qb))
+            assert angles.cosines[1] == 0.0
+    assert negatives > 0
 
 
 def test_principal_angles_regime_and_shape_errors():
@@ -253,6 +274,17 @@ def test_gram_check_refuses_a_zero_flag_on_a_small_positive_det():
     check_gram_dets(a, b, report.lhs_log, report.rhs_log)
     with pytest.raises(OracleError, match="lhs is zero"):
         check_gram_dets(a, b, SignedLogDet.of_zero(), report.rhs_log)
+
+
+def test_gram_check_refuses_a_positive_lhs_on_an_exactly_singular_product():
+    # A*B = diag(1, 0) exactly, so its cofactor det is 0: a left side
+    # flagged positive disagrees with the oracle rather than failing its log
+    a = np.eye(4, 2, dtype=complex)
+    b = np.eye(4, dtype=complex)[:, [0, 2]]
+    one = SignedLogDet(1.0 + 0j, 0.0)
+    check_gram_dets(a, a, one, one)
+    with pytest.raises(OracleError, match=r"sqrt\(lhs\) disagrees"):
+        check_gram_dets(a, b, one, one)
 
 
 def test_gram_check_passes_fuzz_traffic():
