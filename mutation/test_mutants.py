@@ -97,6 +97,7 @@ MUTANTS = (
         KILLED,
     ),
     Mutant("inequality.py", "if a.shape != b.shape:", "if False:", KILLED),
+    Mutant("fuzz.py", "operator.index(value)", "pass", KILLED),
     Mutant("inequality.py", "if w.shape[1] != len(a):", "if False:", KILLED),
     # oracle branches
     Mutant("oracles.py", "if r <= threshold:", "if False:", KILLED),

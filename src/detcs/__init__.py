@@ -2,9 +2,10 @@
 
 The package verifies the bound, classifies every equality/strictness regime,
 and exposes the determinantal correlation |det(Qa*Qb)| between column
-spaces that controls the gap.  The brute-force reference routes used to
-cross-check it are not exported here; they live in ``detcs.oracles``.
-``FuzzConfig``, ``FuzzSummary`` and ``run_fuzz`` load ``detcs.fuzz`` on first use.
+spaces that controls the gap.  This module exports that verdict API and
+nothing else.  Every other module is imported by name: seeded fuzzing from
+``detcs.fuzz``, matrix files from ``detcs.matrixio`` and the brute-force
+reference routes from ``detcs.oracles``.
 """
 
 from .errors import (
@@ -36,17 +37,6 @@ from .linalg import (
     log_det,
     matmul,
 )
-from .matrixio import load_matrix, parse_matrix, save_matrix, serialize_matrix
-from . import oracles  # the reference routes, reached as detcs.oracles.<name>
-
-
-def __getattr__(name):
-    if name in ("FuzzConfig", "FuzzSummary", "run_fuzz"):
-        from . import fuzz
-
-        return getattr(fuzz, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "DetcsError",
@@ -57,9 +47,6 @@ __all__ = [
     "OracleError",
     "RankDeficient",
     "WrongRegime",
-    "FuzzConfig",
-    "FuzzSummary",
-    "run_fuzz",
     "EQUALITY_TOL",
     "CaseTag",
     "CsReport",
@@ -75,8 +62,4 @@ __all__ = [
     "conj_transpose",
     "log_det",
     "matmul",
-    "load_matrix",
-    "parse_matrix",
-    "save_matrix",
-    "serialize_matrix",
 ]

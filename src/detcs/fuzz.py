@@ -13,6 +13,7 @@ reproducible no matter which subset of ensembles a run selects.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +40,12 @@ class FuzzConfig:
     tol: float = EQUALITY_TOL
 
     def __post_init__(self):
+        for name in ("trials", "seed", "m_max", "n_max"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if not 0 <= self.seed < 2**64:

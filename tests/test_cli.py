@@ -15,20 +15,10 @@ import numpy as np
 import pytest
 
 import detcs
-from detcs import (
-    SignedLogDet,
-    cli,
-    conj_transpose,
-    fuzz,
-    inequality,
-    linalg,
-    load_matrix,
-    matmul,
-    oracles,
-    save_matrix,
-)
+from detcs import SignedLogDet, cli, conj_transpose, fuzz, inequality, linalg, matmul, oracles
 from detcs.cli import run
 from detcs.fuzz import complex_normal, draw_instance, trial_rng
+from detcs.matrixio import load_matrix, save_matrix
 
 
 @pytest.fixture
@@ -657,13 +647,37 @@ def test_cli_import_loads_only_the_verdict_path():
     assert probe(FOOTPRINT_PROBE) == "[] ['detcs.inequality.CsReport']\n"
 
 
-def test_fuzz_exports_load_fuzz_on_first_use():
-    code = (
-        "import sys, detcs; print('detcs.fuzz' in sys.modules); "
-        "print(detcs.run_fuzz is detcs.fuzz.run_fuzz, detcs.FuzzConfig is detcs.fuzz.FuzzConfig, "
-        "detcs.FuzzSummary is detcs.fuzz.FuzzSummary)"
-    )
-    assert probe(code) == "False\nTrue True True\n"
+MOVED_NAMES = {
+    "FuzzConfig": "detcs.fuzz",
+    "FuzzSummary": "detcs.fuzz",
+    "run_fuzz": "detcs.fuzz",
+    "load_matrix": "detcs.matrixio",
+    "parse_matrix": "detcs.matrixio",
+    "save_matrix": "detcs.matrixio",
+    "serialize_matrix": "detcs.matrixio",
+}
+
+ROOT_PROBE = """
+import importlib, sys
+def package():
+    return sorted(name for name in sys.modules if name == "detcs" or name.startswith("detcs."))
+import detcs
+root = package()
+import detcs.cli
+print(root)
+print(sorted(set(package()) - set(root) - {"detcs.cli"}))
+for name, module in %r.items():
+    print(name, hasattr(detcs, name), callable(getattr(importlib.import_module(module), name)))
+"""
+
+
+def test_root_loads_only_the_verdict_api():
+    # matrix files, the oracles and fuzz are reached through their modules:
+    # the root neither loads them nor re-exports their names
+    lines = probe(ROOT_PROBE % MOVED_NAMES).splitlines()
+    assert lines[0] == "['detcs', 'detcs.errors', 'detcs.inequality', 'detcs.linalg']"
+    assert lines[1] == "['detcs.matrixio', 'detcs.oracles']"
+    assert lines[2:] == [f"{name} False True" for name in MOVED_NAMES]
     with pytest.raises(AttributeError):
         detcs.no_such_name
 
@@ -676,19 +690,19 @@ def test_fuzz_help_lists_the_ensembles(capsys):
 
 
 def test_every_export_resolves():
-    assert len(set(detcs.__all__)) == len(detcs.__all__) == 30
+    assert len(set(detcs.__all__)) == len(detcs.__all__) == 23
     for name in detcs.__all__:
         assert hasattr(detcs, name), name
     # the reference routes are reached only through detcs.oracles
     defined = {
         name
-        for name, value in vars(detcs.oracles).items()
-        if getattr(value, "__module__", None) == detcs.oracles.__name__
+        for name, value in vars(oracles).items()
+        if getattr(value, "__module__", None) == oracles.__name__
     }
     assert set(ORACLE_NAMES) <= defined
     assert not defined & set(detcs.__all__)
     for name in ORACLE_NAMES:
-        assert callable(getattr(detcs.oracles, name)), name
+        assert callable(getattr(oracles, name)), name
 
 
 def test_kernels_take_no_threshold():
@@ -698,7 +712,7 @@ def test_kernels_take_no_threshold():
         detcs.cholesky_hpd,
         linalg.factor_lanes,
         linalg.factor_columns,
-        detcs.oracles.hermitian_eigenvalues,
+        oracles.hermitian_eigenvalues,
     )
     for kernel in kernels:
         params = inspect.signature(kernel).parameters

@@ -4,8 +4,16 @@ violation path under an impossible tolerance."""
 import numpy as np
 import pytest
 
-from detcs import CaseTag, FuzzConfig, classify_case, conj_transpose, matmul, run_fuzz
-from detcs.fuzz import ENSEMBLES, check_instance, complex_normal, draw_instance, trial_rng
+from detcs import CaseTag, classify_case, conj_transpose, matmul
+from detcs.fuzz import (
+    ENSEMBLES,
+    FuzzConfig,
+    check_instance,
+    complex_normal,
+    draw_instance,
+    run_fuzz,
+    trial_rng,
+)
 from detcs.linalg import factor_columns
 
 
@@ -28,6 +36,19 @@ def test_config_validation():
     for tol in (0.0, -1.0, float("nan"), float("inf"), 1.0, 20.0):
         with pytest.raises(ValueError):
             FuzzConfig(trials=1, seed=0, tol=tol)
+
+
+def test_config_counts_must_be_integers():
+    # a fractional count would reach range() and the trial seeds, or print a
+    # fractional size bound in the fuzz header
+    for field in ("trials", "seed", "m_max", "n_max"):
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got 2.5"):
+            FuzzConfig(**{"trials": 1, "seed": 0, field: 2.5})
+    with pytest.raises(ValueError, match="trials must be an integer"):
+        FuzzConfig(trials="2", seed=0)
+    # numpy integers are integers
+    config = FuzzConfig(trials=np.int64(2), seed=np.uint64(7), m_max=np.int32(3), n_max=np.int8(2))
+    assert run_fuzz(config).total_trials == 2 * len(ENSEMBLES)
 
 
 def test_trial_streams_are_reproducible_and_subset_independent():

@@ -27,7 +27,6 @@ from detcs import (
     conj_transpose,
     det_correlation,
     matmul,
-    save_matrix,
     verify_inequality,
     whitened_pair,
 )
@@ -36,6 +35,7 @@ from detcs.cli import run
 from detcs.fuzz import complex_normal
 from detcs.inequality import enforce_equality_contract
 from detcs.linalg import factor_columns
+from detcs.matrixio import save_matrix
 from detcs.oracles import det_cofactor, matmul_naive
 
 

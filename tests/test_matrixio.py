@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from detcs import MatrixParseError, load_matrix, parse_matrix, save_matrix, serialize_matrix
+from detcs import MatrixParseError
 from detcs.fuzz import complex_normal
+from detcs.matrixio import load_matrix, parse_matrix, save_matrix, serialize_matrix
 
 
 def test_parse_identity():

@@ -5,8 +5,8 @@ import re
 
 import numpy as np
 
-from detcs import save_matrix
 from detcs.cli import run
+from detcs.matrixio import save_matrix
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 # the worst log slacks depend on numpy's SIMD dispatch level (ROADMAP item 2)
