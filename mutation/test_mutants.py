@@ -7,12 +7,14 @@ Run from the root of a checkout:
 Each row of ``MUTANTS`` names a file of ``src/detcs``, an exact snippet of
 it, a replacement and a verdict.  The snippet must occur exactly once, or
 the row is stale and the gate fails: a change to that code updates its row.
-For a ``KILLED`` row the tree is copied to a temporary directory, the
-snippet is replaced, and ``pytest -x -q tests`` must fail there.  Any other
-verdict is the measured reason why the mutant is equivalent: no test can
-tell it apart from the tree, so only its snippet is checked.
+A killed row's verdict is the tier-1 test node that kills it: the tree is
+copied to a temporary directory, the snippet is replaced, and
+``pytest -x -q <node>`` must fail there.  If the node passes, or no longer
+exists, the row is stale too.  Any other verdict is the measured reason why
+the mutant is equivalent: no test can tell it apart from the tree, so only
+its snippet is checked.
 
-One tier-1 run per killed row: about 8 minutes on a 2-core host.
+One tier-1 node per killed row: about a minute on a 2-core host.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import NamedTuple
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-KILLED = "killed"
+EQUIVALENT = "equivalent: "
 
 
 class Mutant(NamedTuple):
@@ -39,70 +41,196 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     # the bounds and contracts of the verdict
-    Mutant("inequality.py", "if slack > math.log1p(tol):", "if slack > math.log1p(2 * tol):", KILLED),
+    Mutant(
+        "inequality.py",
+        "if slack > math.log1p(tol):",
+        "if slack > math.log1p(2 * tol):",
+        "tests/test_inequality.py::test_verify_absurd_tolerance_raises_on_positive_roundoff",
+    ),
     Mutant(
         "inequality.py",
         "report.relative_gap > report.tol_used:",
         "report.relative_gap > 2 * report.tol_used:",
-        KILLED,
+        "tests/test_inequality.py::test_equality_contract_rejects_a_zero_side_beside_a_positive_one",
     ),
-    Mutant("inequality.py", "<= 0.5 * tol", "<= tol", KILLED),
-    Mutant("inequality.py", "return raw if raw < 1.0 else 1.0", "return raw", KILLED),
+    Mutant(
+        "inequality.py",
+        "<= 0.5 * tol",
+        "<= tol",
+        "tests/test_inequality.py::test_tilt_sweep_keeps_equality_contract",
+    ),
+    Mutant(
+        "inequality.py",
+        "return raw if raw < 1.0 else 1.0",
+        "return raw",
+        "tests/test_inequality.py::test_det_correlation_is_exactly_one_when_rounding_lands_above",
+    ),
     # the thresholds of the kernels and the oracles
-    Mutant("linalg.py", "HERMITIAN_TOL = 1e-12", "HERMITIAN_TOL = 1e-6", KILLED),
-    Mutant("linalg.py", "RANK_TOL = 1e-10", "RANK_TOL = 1e-8", KILLED),
-    Mutant("linalg.py", "ORTHO_TOL = 1e-11", "ORTHO_TOL = 1e-6", KILLED),
+    Mutant(
+        "linalg.py",
+        "HERMITIAN_TOL = 1e-12",
+        "HERMITIAN_TOL = 1e-6",
+        "tests/test_linalg.py::test_cholesky_rejects_non_hermitian",
+    ),
+    Mutant(
+        "linalg.py",
+        "RANK_TOL = 1e-10",
+        "RANK_TOL = 1e-8",
+        "tests/test_inequality.py::test_ill_conditioned_tall_operand_verifies",
+    ),
+    Mutant(
+        "linalg.py",
+        "ORTHO_TOL = 1e-11",
+        "ORTHO_TOL = 1e-6",
+        "tests/test_linalg.py::test_subspace_basis_validates",
+    ),
     Mutant(
         "linalg.py",
         "threshold = SINGULARITY_TOL * scale",
         "threshold = 1e3 * SINGULARITY_TOL * scale",
-        KILLED,
+        "tests/test_linalg.py::test_whole_row_elimination_is_the_block_elimination",
     ),
-    Mutant("linalg.py", "if pivot <= PD_PIVOT_TOL * diag_scale:", "if pivot <= 0:", KILLED),
-    Mutant("oracles.py", "DET_AGREEMENT_RTOL = 1e-9", "DET_AGREEMENT_RTOL = 1e-6", KILLED),
-    Mutant("oracles.py", "ZERO_DET_RTOL = 1e-8", "ZERO_DET_RTOL = 1e-4", KILLED),
-    Mutant("oracles.py", "COSINE_PRODUCT_ATOL = 1e-9", "COSINE_PRODUCT_ATOL = 1e-6", KILLED),
-    Mutant("oracles.py", "JACOBI_OFFDIAG_TOL = 1e-13", "JACOBI_OFFDIAG_TOL = 1e-9", KILLED),
+    Mutant(
+        "linalg.py",
+        "if pivot <= PD_PIVOT_TOL * diag_scale:",
+        "if pivot <= 0:",
+        "tests/test_linalg.py::test_cholesky_rejects_indefinite",
+    ),
+    Mutant(
+        "oracles.py",
+        "DET_AGREEMENT_RTOL = 1e-9",
+        "DET_AGREEMENT_RTOL = 1e-6",
+        "tests/test_cli.py::test_check_fails_on_an_lu_determinant_off_by_1e_7",
+    ),
+    Mutant(
+        "oracles.py",
+        "ZERO_DET_RTOL = 1e-8",
+        "ZERO_DET_RTOL = 1e-4",
+        "tests/test_oracles.py::test_gram_check_refuses_a_zero_flag_on_a_small_positive_det",
+    ),
+    Mutant(
+        "oracles.py",
+        "COSINE_PRODUCT_ATOL = 1e-9",
+        "COSINE_PRODUCT_ATOL = 1e-6",
+        "tests/test_cli.py::test_check_fails_on_scaled_cosines",
+    ),
+    Mutant(
+        "oracles.py",
+        "JACOBI_OFFDIAG_TOL = 1e-13",
+        "JACOBI_OFFDIAG_TOL = 1e-9",
+        "tests/test_oracles.py::test_hermitian_eigenvalues_match_numpy",
+    ),
     # fuzz draws and the fuzz summary
-    Mutant("fuzz.py", "+ 1e-3 * np.eye(m)", "+ np.eye(m)", KILLED),
-    Mutant("fuzz.py", "if slack > st.worst_slack:", "if slack < st.worst_slack:", KILLED),
-    Mutant("fuzz.py", "if which != 1:", "if True:", KILLED),
-    Mutant("fuzz.py", "if which != 0:", "if True:", KILLED),
-    Mutant("cli.py", '"n/a" if st.worst_slack == float("-inf")', '"n/a" if True', KILLED),
-    Mutant("cli.py", '"n/a" if st.worst_slack == float("-inf")', '"n/a" if False', KILLED),
+    Mutant(
+        "fuzz.py",
+        "+ 1e-3 * np.eye(m)",
+        "+ np.eye(m)",
+        "tests/test_fuzz.py::test_weighted_draw_builds_valid_weight",
+    ),
+    Mutant(
+        "fuzz.py",
+        "if slack > st.worst_slack:",
+        "if slack < st.worst_slack:",
+        "tests/test_fuzz.py::test_worst_slack_is_the_largest_slack_between_positive_sides",
+    ),
+    Mutant(
+        "fuzz.py",
+        "if which != 1:",
+        "if True:",
+        "tests/test_fuzz.py::test_rank_deficient_draw_is_deficient",
+    ),
+    Mutant(
+        "fuzz.py",
+        "if which != 0:",
+        "if True:",
+        "tests/test_fuzz.py::test_rank_deficient_draw_is_deficient",
+    ),
+    Mutant(
+        "cli.py",
+        '"n/a" if st.worst_slack == float("-inf")',
+        '"n/a" if True',
+        "tests/test_cli.py::test_fuzz_slack_reads_n_a_without_a_positive_pair",
+    ),
+    Mutant(
+        "cli.py",
+        '"n/a" if st.worst_slack == float("-inf")',
+        '"n/a" if False',
+        "tests/test_cli.py::test_fuzz_slack_reads_n_a_without_a_positive_pair",
+    ),
     # input checks
     Mutant(
         "linalg.py",
         'np.array(entries, dtype=np.complex128, order="C")',
         "np.array(entries, dtype=np.complex128)",
-        KILLED,
+        "tests/test_matrixio.py::test_round_trip_is_bit_exact",
     ),
-    Mutant("linalg.py", "if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:", "if False:", KILLED),
+    Mutant(
+        "linalg.py",
+        "if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:",
+        "if False:",
+        "tests/test_linalg.py::test_matmul_shape_mismatch",
+    ),
     Mutant(
         "linalg.py",
         "    a = np.asarray(a, dtype=np.complex128)\n    b = np.asarray(b, dtype=np.complex128)\n",
         "",
-        KILLED,
+        "tests/test_linalg.py::test_matmul_identity",
     ),
     Mutant(
         "linalg.py",
         'if n != cols:\n        raise ValueError(f"weight matrix',
         'if False:\n        raise ValueError(f"weight matrix',
-        KILLED,
+        "tests/test_linalg.py::test_cholesky_rejects_non_square",
     ),
     Mutant(
         "linalg.py",
         'if m < n:\n            raise ValueError(f"an orthonormal basis',
         'if False:\n            raise ValueError(f"an orthonormal basis',
-        KILLED,
+        "tests/test_linalg.py::test_subspace_basis_validates",
     ),
-    Mutant("inequality.py", "if a.shape != b.shape:", "if False:", KILLED),
-    Mutant("fuzz.py", "operator.index(value)", "pass", KILLED),
-    Mutant("inequality.py", "if w.shape[1] != len(a):", "if False:", KILLED),
+    Mutant(
+        "inequality.py",
+        "if a.shape != b.shape:",
+        "if False:",
+        "tests/test_inequality.py::test_verify_rejects_bad_tol_and_shape",
+    ),
+    Mutant(
+        "fuzz.py",
+        "operator.index(value)",
+        "pass",
+        "tests/test_fuzz.py::test_config_counts_must_be_integers",
+    ),
+    Mutant(
+        "inequality.py",
+        "if w.shape[1] != len(a):",
+        "if False:",
+        "tests/test_inequality.py::test_whitened_pair_weight_shape_mismatch",
+    ),
     # oracle branches
-    Mutant("oracles.py", "if r <= threshold:", "if False:", KILLED),
-    Mutant("oracles.py", "math.sqrt(e) if e > 0.0 else 0.0", "math.sqrt(e)", KILLED),
-    Mutant("oracles.py", "math.log(abs(z)) if z else -math.inf", "math.log(abs(z))", KILLED),
+    Mutant(
+        "oracles.py",
+        "if r <= threshold:",
+        "if False:",
+        "tests/test_oracles.py::test_hermitian_eigenvalues_match_numpy",
+    ),
+    Mutant(
+        "oracles.py",
+        "math.sqrt(e) if e > 0.0 else 0.0",
+        "math.sqrt(e)",
+        "tests/test_oracles.py::test_principal_angles_read_a_negative_squared_cosine_as_zero",
+    ),
+    Mutant(
+        "oracles.py",
+        "math.log(abs(z)) if z else -math.inf",
+        "math.log(abs(z))",
+        "tests/test_oracles.py::test_gram_check_refuses_a_positive_lhs_on_an_exactly_singular_product",
+    ),
+    Mutant(
+        "oracles.py",
+        'raise OracleError(f"verdict basis',
+        'raise ValueError(f"verdict basis',
+        "tests/test_cli.py::test_a_bent_verdict_basis_is_a_kernel_bug",
+    ),
     # speed guards: the same bits either way, at a measured cost
     Mutant(
         "linalg.py",
@@ -150,9 +278,12 @@ def _row_id(mutant: Mutant) -> str:
 @pytest.mark.parametrize("mutant", MUTANTS, ids=_row_id)
 def test_snippet_occurs_once(mutant):
     assert _source(mutant).count(mutant.snippet) == 1, mutant.snippet
+    assert mutant.verdict.startswith(("tests/", EQUIVALENT)), mutant.verdict
 
 
-@pytest.mark.parametrize("mutant", [m for m in MUTANTS if m.verdict == KILLED], ids=_row_id)
+@pytest.mark.parametrize(
+    "mutant", [m for m in MUTANTS if not m.verdict.startswith(EQUIVALENT)], ids=_row_id
+)
 def test_tier1_kills_the_mutant(mutant, tmp_path):
     tree = tmp_path / "tree"
     shutil.copytree(
@@ -165,11 +296,12 @@ def test_tier1_kills_the_mutant(mutant, tmp_path):
     assert source.count(mutant.snippet) == 1, mutant.snippet
     path.write_text(source.replace(mutant.snippet, mutant.replacement))
     proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests"],
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", mutant.verdict],
         cwd=tree,
         env=dict(os.environ, PYTHONPATH=str(tree / "src")),
         capture_output=True,
         text=True,
     )
-    # exit code 1: a test failed, rather than the run breaking down
+    # exit code 1: the node failed, rather than passing (0) or not being
+    # found (4), either of which makes the row stale
     assert proc.returncode == 1, proc.stdout[-2000:] + proc.stderr[-2000:]

@@ -16,7 +16,6 @@ from .inequality import (
     ENSEMBLES,
     EQUALITY_TOL,
     CaseTag,
-    _column_norms,
     _correlated,
     _report,
     _verdict,
@@ -89,9 +88,7 @@ def _report_record(report) -> dict:
 
 def cmd_correlate(args) -> int:
     v, correlation = _correlated(*_load_operands(args))
-    profile = _column_norms(v.z[: v.a.shape[1]])  # Qa*Qb, the top rows of Z
     print(f"correlation: {_fmt(correlation)}")
-    print("column norms: " + " ".join(_fmt(x) for x in profile))
     if args.check:
         angles = verdict_angles(v.fa, v.qb)
         print("oracle cosines: " + " ".join(_fmt(c) for c in angles.cosines))
@@ -206,9 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_check(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
-    p_corr = sub.add_parser(
-        "correlate", help="determinantal correlation |det(Qa*Qb)| and column norms"
-    )
+    p_corr = sub.add_parser("correlate", help="determinantal correlation |det(Qa*Qb)| of the spans")
     _add_operands(p_corr)
     _add_check(p_corr)
     p_corr.set_defaults(func=cmd_correlate)

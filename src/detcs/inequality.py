@@ -257,12 +257,7 @@ def column_norm_profile(u: SubspaceBasis, v: SubspaceBasis) -> list[float]:
     m, n = u.shape
     if m <= n:
         raise WrongRegime(f"profile is defined only for m > n, got {m} x {n}")
-    return _column_norms(matmul(conj_transpose(u.ortho), v.ortho))
-
-
-def _column_norms(w: np.ndarray) -> list[float]:
-    """Column norms of an overlap U*V, such as the verdict's Z[:n] = Qa*Qb."""
-    norms = np.sqrt(column_squares(w))
+    norms = np.sqrt(column_squares(matmul(conj_transpose(u.ortho), v.ortho)))
     over = norms > 1.0 + UNIT_SLACK
     if over.any():
         j = int(over.argmax())

@@ -227,8 +227,14 @@ def check_gram_dets(a: np.ndarray, b: np.ndarray, lhs: SignedLogDet, rhs: Signed
 
 def verdict_angles(fa: ColumnFactors, qb: np.ndarray) -> PrincipalAngles:
     """Jacobi principal angles on the bases of a verdict's pivoted QRs: A's,
-    formed here, and Qb; the cosines do not depend on the bases chosen."""
-    return principal_angle_cosines(SubspaceBasis(fa.basis()), SubspaceBasis(qb))
+    formed here, and Qb; the cosines do not depend on the bases chosen.
+    The kernel built both bases, so one that fails orthonormality is a
+    kernel bug, raised as OracleError, not an input error."""
+    try:
+        bases = SubspaceBasis(fa.basis()), SubspaceBasis(qb)
+    except ValueError as exc:
+        raise OracleError(f"verdict basis: {exc}") from exc
+    return principal_angle_cosines(*bases)
 
 
 def check_cosine_product(product: float, correlation: float) -> None:

@@ -191,7 +191,7 @@ def test_check_whitens_and_factors_once(tall_files, count_calls, capsys):
 
 
 def test_plain_correlate_reads_the_verdicts_overlap(tall_files, count_calls, capsys):
-    # the column norms are read from Z[:n] = Qa*Qb: no product is formed
+    # the correlation is read from Z[:n] = Qa*Qb: no product is formed
     # outside the verdict (whose whitening makes one per 8-row block of the
     # 12-row W), no basis of A is formed, and each operand is validated once
     calls = count_calls(inequality, "as_matrix", "matmul")
@@ -258,6 +258,18 @@ def test_check_fails_on_scaled_cosines(tall_files, monkeypatch, capsys):
         argv = [command, "--check", "--a", tall_files["a"], "--b", tall_files["strict"]]
         assert run(argv) == 3, command
         assert "cosine product" in capsys.readouterr().err
+
+
+def test_a_bent_verdict_basis_is_a_kernel_bug(tall_files, monkeypatch, capsys):
+    # the oracle audits bases the kernel built, so one that fails
+    # orthonormality is an invariant violation (exit 3), not bad input
+    original = linalg.ColumnFactors.basis
+    monkeypatch.setattr(linalg.ColumnFactors, "basis", lambda self: original(self) * (1.0 + 1e-6))
+    for command in ("verify", "correlate"):
+        argv = [command, "--check", "--a", tall_files["a"], "--b", tall_files["strict"]]
+        assert run(argv) == 3, command
+        err = capsys.readouterr().err
+        assert err.startswith("invariant violation: verdict basis: columns are not orthonormal"), err
 
 
 def test_squared_cosine_above_one_is_refused(tall_files, monkeypatch, capsys):
@@ -385,10 +397,11 @@ def test_correlate_half_tilted_plane(files, capsys):
     code = run(["correlate", "--a", files["plane_a"], "--b", files["plane_b"], "--check"])
     out = capsys.readouterr().out
     assert code == 0
-    lines = out.splitlines()
-    assert lines[0].startswith("correlation: 0.70710678118654")
-    assert lines[1].startswith("column norms: 1.0 0.70710678118654")
-    assert lines[2].startswith("oracle cosines: 1.0 0.70710678118654")
+    # every line is fixed by the two spans, not by the bases chosen for them
+    correlation, cosines, product = out.splitlines()
+    assert correlation.startswith("correlation: 0.70710678118654")
+    assert cosines.startswith("oracle cosines: 1.0 0.70710678118654")
+    assert product.startswith("oracle product: 0.70710678118654")
 
 
 def test_correlate_square_regime_exits_2(files, capsys):

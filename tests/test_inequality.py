@@ -703,11 +703,9 @@ def test_tilt_sweep_keeps_equality_contract():
     assert tags[CaseTag.FULL_RANK_SAME_SPAN] and tags[CaseTag.FULL_RANK_STRICT]
 
 
-def test_correlate_reads_column_norms_from_z(tmp_path, capsys):
-    # correlate prints the column norms of the verdict's Z[:n] = Qa*Qb; they
-    # match column_norm_profile on explicitly formed and validated bases of
-    # the whitened pair (Qb the same pivoted basis, Qa any basis of A's
-    # span), and their product bounds the correlation (Hadamard)
+def test_column_norm_profile_bounds_the_correlation():
+    # the column norms of Qa*Qb, for bases of the whitened pair, bound the
+    # correlation by their product (Hadamard)
     rng = np.random.default_rng(96)
     m, n = 12, 6
     for kind in ("generic", "same span", "tilted"):
@@ -719,55 +717,44 @@ def test_correlate_reads_column_norms_from_z(tmp_path, capsys):
                 b = matmul(a, complex_normal(rng, n, n))
             else:
                 a, b = tilted_pair(rng, m, n, 1e-4)
-            save_matrix(tmp_path / "a.mat", a)
-            save_matrix(tmp_path / "b.mat", b)
-            argv = ["correlate", "--a", str(tmp_path / "a.mat"), "--b", str(tmp_path / "b.mat")]
+            fac = hpd(rng, m) if weighted else None
+            correlation = det_correlation(a, b, fac)
             if weighted:
-                fac = hpd(rng, m)
-                save_matrix(tmp_path / "m.mat", fac.m_matrix)
-                argv += ["--m", str(tmp_path / "m.mat")]
                 a, b = whitened_pair(a, b, fac)
-            assert run(argv) == 0
-            correlation, norms = capsys.readouterr().out.splitlines()
-            correlation = float(correlation.removeprefix("correlation: "))
-            norms = [float(x) for x in norms.removeprefix("column norms: ").split()]
             qa, qb = (SubspaceBasis(factor_columns(x).basis()) for x in (a, b))
-            assert_allclose(norms, column_norm_profile(qa, qb), rtol=0, atol=1e-15)
-            assert correlation <= math.prod(norms) * (1.0 + 1e-14), (kind, weighted)
-
-
-def same_span_correlate_argv(tmp_path, seed):
-    """A 12x6 same-span pair B = AC, saved, and the correlate command line."""
-    rng = np.random.default_rng(seed)
-    a = complex_normal(rng, 12, 6)
-    b = matmul(a, complex_normal(rng, 6, 6))
-    save_matrix(tmp_path / "a.mat", a)
-    save_matrix(tmp_path / "b.mat", b)
-    return a, b, ["correlate", "--a", str(tmp_path / "a.mat"), "--b", str(tmp_path / "b.mat")]
+            bound = math.prod(column_norm_profile(qa, qb))
+            assert correlation <= bound * (1.0 + 1e-14), (kind, weighted)
 
 
 def test_correlation_past_unit_slack_raises(tmp_path, monkeypatch, capsys):
     # an LU that reads |det(Qa*Qb)| as 1 + 1e-9 is past the 1e-10 slack, so
     # the correlation raises instead of being clamped to 1
-    a, b, argv = same_span_correlate_argv(tmp_path, 97)
+    rng = np.random.default_rng(97)
+    a = complex_normal(rng, 12, 6)
+    b = matmul(a, complex_normal(rng, 6, 6))
+    save_matrix(tmp_path / "a.mat", a)
+    save_matrix(tmp_path / "b.mat", b)
     original = inequality.log_det
     monkeypatch.setattr(
         inequality, "log_det", lambda mat: original(mat)._replace(log_magnitude=math.log1p(1e-9))
     )
     with pytest.raises(InequalityViolation, match="exceeds 1 \\+ 1e-10"):
         det_correlation(a, b)
-    assert run(argv) == 3
+    assert run(["correlate", "--a", str(tmp_path / "a.mat"), "--b", str(tmp_path / "b.mat")]) == 3
     assert "exceeds 1 + 1e-10" in capsys.readouterr().err
 
 
-def test_column_norm_past_unit_slack_raises(tmp_path, monkeypatch, capsys):
-    # squared column norms of Z[:n] read 1e-8 high put the unit columns of a
+def test_column_norm_past_unit_slack_raises(monkeypatch):
+    # squared column norms read 1e-8 high put the unit columns of a
     # same-span overlap past the 1e-10 slack
-    argv = same_span_correlate_argv(tmp_path, 98)[2]
+    rng = np.random.default_rng(98)
+    a = complex_normal(rng, 12, 6)
+    b = matmul(a, complex_normal(rng, 6, 6))
+    qa, qb = (SubspaceBasis(factor_columns(x).basis()) for x in (a, b))
     original = inequality.column_squares
     monkeypatch.setattr(inequality, "column_squares", lambda x: original(x) * (1.0 + 1e-8))
-    assert run(argv) == 3
-    assert "column 0 of U*V has norm" in capsys.readouterr().err
+    with pytest.raises(InequalityViolation, match="column 0 of U\\*V has norm"):
+        column_norm_profile(qa, qb)
 
 
 @pytest.mark.xfail(
