@@ -157,6 +157,25 @@ MUTANTS = (
         '"n/a" if False',
         "tests/test_cli.py::test_fuzz_slack_reads_n_a_without_a_positive_pair",
     ),
+    # the verify record: a zero side is None, printed as zero and as null
+    Mutant(
+        "cli.py",
+        "None if report.lhs_log.zero else ",
+        "",
+        "tests/test_cli.py::test_verify_json_zero_sides",
+    ),
+    Mutant(
+        "cli.py",
+        "None if report.rhs_log.zero else ",
+        "",
+        "tests/test_cli.py::test_verify_json_zero_sides",
+    ),
+    Mutant(
+        "cli.py",
+        '"zero" if x is None else _fmt(x)',
+        "_fmt(x)",
+        "tests/test_cli.py::test_verify_wide_zero_sides",
+    ),
     # input checks
     Mutant(
         "linalg.py",
@@ -199,6 +218,12 @@ MUTANTS = (
         "operator.index(value)",
         "pass",
         "tests/test_fuzz.py::test_config_counts_must_be_integers",
+    ),
+    Mutant(
+        "inequality.py",
+        "if not isinstance(m_fac, HpdFactor):",
+        "if False:",
+        "tests/test_inequality.py::test_a_raw_weight_matrix_names_cholesky_hpd",
     ),
     Mutant(
         "inequality.py",

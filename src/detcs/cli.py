@@ -23,7 +23,7 @@ from .inequality import (
 )
 from .linalg import cholesky_hpd
 from .matrixio import load_matrix, save_matrix
-from .oracles import check_cosine_product, check_gram_dets, verdict_angles
+from .oracles import check_correlation, check_gram_dets
 
 
 def _fmt(x: float) -> str:
@@ -42,46 +42,35 @@ def cmd_verify(args) -> int:
     if args.check:
         check_gram_dets(v.a, v.b, report.lhs_log, report.rhs_log)
         if report.correlation is not None:
-            check_cosine_product(verdict_angles(v.fa, v.qb).correlation(), report.correlation)
+            check_correlation(v.fa, v.qb, report.correlation)
+    record = _record(report)
     if args.json:
         import json
 
-        print(json.dumps(_report_record(report), sort_keys=True))
+        print(json.dumps(record, sort_keys=True))
         return 0
-    print(f"case: {report.case_tag.value}")
+    lhs, rhs = ("zero" if x is None else _fmt(x) for x in (record["lhs_log"], record["rhs_log"]))
+    print(f"case: {record['case']}")
     print(f"clause: {CLAUSE_TEXT[report.case_tag]}")
-    print(f"lhs log |det(A*MB)|^2: {_log_text(report.lhs_log)}")
-    print(f"rhs log det(A*MA) det(B*MB): {_log_text(report.rhs_log)}")
-    print(f"relative gap: {_fmt(report.relative_gap)}")
-    if report.correlation is not None:
-        print(f"correlation: {_fmt(report.correlation)}")
-    print(f"equality: {'yes' if report.equality else 'no'} (tol {_fmt(report.tol_used)})")
+    print(f"lhs log |det(A*MB)|^2: {lhs}")
+    print(f"rhs log det(A*MA) det(B*MB): {rhs}")
+    print(f"relative gap: {_fmt(record['relative_gap'])}")
+    if record["correlation"] is not None:
+        print(f"correlation: {_fmt(record['correlation'])}")
+    print(f"equality: {'yes' if record['equality'] else 'no'} (tol {_fmt(record['tol'])})")
     return 0
 
 
-def _log_text(d) -> str:
-    if d.zero:
-        return "zero"
-    return _fmt(d.log_magnitude)
-
-
-def _report_record(report) -> dict:
-    def logdet_record(d):
-        if d.zero:
-            return {"zero": True, "log_magnitude": None, "phase": None}
-        return {
-            "zero": False,
-            "log_magnitude": float(d.log_magnitude),
-            "phase": [float(d.phase.real), float(d.phase.imag)],
-        }
-
+def _record(report) -> dict:
+    """What ``verify`` prints, as plain values.  Both sides are nonnegative
+    reals, so a side is its log, or None when the side is zero."""
     return {
         "case": report.case_tag.value,
         "equality": report.equality,
         "relative_gap": float(report.relative_gap),
         "correlation": None if report.correlation is None else float(report.correlation),
-        "lhs": logdet_record(report.lhs_log),
-        "rhs": logdet_record(report.rhs_log),
+        "lhs_log": None if report.lhs_log.zero else float(report.lhs_log.log_magnitude),
+        "rhs_log": None if report.rhs_log.zero else float(report.rhs_log.log_magnitude),
         "tol": float(report.tol_used),
     }
 
@@ -90,11 +79,9 @@ def cmd_correlate(args) -> int:
     v, correlation = _correlated(*_load_operands(args))
     print(f"correlation: {_fmt(correlation)}")
     if args.check:
-        angles = verdict_angles(v.fa, v.qb)
+        angles = check_correlation(v.fa, v.qb, correlation)
         print("oracle cosines: " + " ".join(_fmt(c) for c in angles.cosines))
-        product = angles.correlation()
-        print(f"oracle product: {_fmt(product)}")
-        check_cosine_product(product, correlation)
+        print(f"oracle product: {_fmt(angles.correlation())}")
     return 0
 
 

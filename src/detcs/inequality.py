@@ -118,6 +118,8 @@ def whitened_pair(a, b, m_fac: HpdFactor):
     """(WA, WB) for the weight's factor W; Gram products under M of the
     originals equal unweighted Gram products of the pair.  This is the
     pair every weighted verdict reads, whatever its shape."""
+    if not isinstance(m_fac, HpdFactor):
+        raise TypeError(f"pass the weight as cholesky_hpd(M), not as {type(m_fac).__name__}")
     a, b = _same_shape(a, b)
     w = m_fac.w_factor
     if w.shape[1] != len(a):

@@ -225,8 +225,11 @@ def check_gram_dets(a: np.ndarray, b: np.ndarray, lhs: SignedLogDet, rhs: Signed
             )
 
 
-def verdict_angles(fa: ColumnFactors, qb: np.ndarray) -> PrincipalAngles:
-    """Jacobi principal angles on the bases of a verdict's pivoted QRs: A's,
+def check_correlation(fa: ColumnFactors, qb: np.ndarray, correlation: float) -> PrincipalAngles:
+    """Cross-check a verdict's correlation |det(Qa*Qb)| against the product
+    of the Jacobi principal-angle cosines, and return the angles.
+
+    The angles are taken on the bases of the verdict's pivoted QRs: A's,
     formed here, and Qb; the cosines do not depend on the bases chosen.
     The kernel built both bases, so one that fails orthonormality is a
     kernel bug, raised as OracleError, not an input error."""
@@ -234,16 +237,13 @@ def verdict_angles(fa: ColumnFactors, qb: np.ndarray) -> PrincipalAngles:
         bases = SubspaceBasis(fa.basis()), SubspaceBasis(qb)
     except ValueError as exc:
         raise OracleError(f"verdict basis: {exc}") from exc
-    return principal_angle_cosines(*bases)
-
-
-def check_cosine_product(product: float, correlation: float) -> None:
-    """Cross-check |det(Qa*Qb)| against the product of Jacobi principal-angle
-    cosines."""
+    angles = principal_angle_cosines(*bases)
+    product = angles.correlation()
     if abs(product - correlation) > COSINE_PRODUCT_ATOL:
         raise OracleError(
             f"cosine product {product!r} disagrees with correlation {correlation!r}"
         )
+    return angles
 
 
 class BilinearityWitness(NamedTuple):

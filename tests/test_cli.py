@@ -67,6 +67,9 @@ def test_verify_wide_zero_sides(files, capsys):
     assert out.count("zero") == 2
 
 
+JSON_KEYS = ["case", "correlation", "equality", "lhs_log", "relative_gap", "rhs_log", "tol"]
+
+
 def test_verify_json_record(files, capsys):
     code = run(["verify", "--a", files["plane_a"], "--b", files["plane_b"], "--json"])
     out = capsys.readouterr().out
@@ -76,8 +79,11 @@ def test_verify_json_record(files, capsys):
     assert record["equality"] is False
     assert abs(record["correlation"] - 1.0 / np.sqrt(2.0)) < 1e-12
     assert abs(record["relative_gap"] - 0.5) < 1e-12
-    assert record["lhs"]["zero"] is False
+    # a side is its log: log |det(A*B)|^2 = log 1/2, log det(A*A) det(B*B) = 0
+    assert abs(record["lhs_log"] - math.log(0.5)) < 1e-12
+    assert abs(record["rhs_log"]) < 1e-12
     assert record["tol"] == 1e-9
+    assert sorted(record) == JSON_KEYS
 
 
 def test_verify_json_square_has_null_correlation(files, capsys):
@@ -92,12 +98,45 @@ def test_verify_json_square_has_null_correlation(files, capsys):
 def test_verify_json_zero_sides(files, capsys, operand, case):
     assert run(["verify", "--a", files[operand], "--b", files[operand], "--json"]) == 0
     record = json.loads(capsys.readouterr().out)
-    zero = {"zero": True, "log_magnitude": None, "phase": None}
     assert record["case"] == case
-    assert record["lhs"] == zero and record["rhs"] == zero
+    assert record["lhs_log"] is None and record["rhs_log"] is None
     assert record["correlation"] is None
     assert record["relative_gap"] == 0.0
     assert record["equality"] is True
+
+
+@pytest.mark.parametrize(
+    "a, b, m, case",
+    [
+        ("wide", "wide", None, "WideEqualZero"),
+        ("i3", "i3", None, "SquareEqual"),
+        ("deficient", "deficient", None, "RankDeficientZero"),
+        ("tall", "tall_span", None, "FullRankSameSpan"),
+        ("tall", "tall_other", None, "FullRankStrict"),
+        ("tall", "tall_other", "hpd", "FullRankStrict"),
+    ],
+)
+def test_verify_text_and_json_agree(files, capsys, a, b, m, case):
+    # both outputs print one record: each JSON value is the text's digits,
+    # and a side is null exactly where the text prints zero
+    argv = ["verify", "--a", files[a], "--b", files[b], *(["--m", files[m]] if m else [])]
+    assert run(argv) == 0
+    text = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    assert run([*argv, "--json"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert sorted(record) == JSON_KEYS
+    assert text["case"] == record["case"] == case
+    sides = ("lhs log |det(A*MB)|^2", "lhs_log"), ("rhs log det(A*MA) det(B*MB)", "rhs_log")
+    for label, key in sides:
+        assert (text[label] == "zero") == (record[key] is None), key
+        assert text[label] == "zero" or text[label] == repr(record[key]), key
+    assert text["relative gap"] == repr(record["relative_gap"])
+    if record["correlation"] is None:
+        assert "correlation" not in text
+    else:
+        assert text["correlation"] == repr(record["correlation"])
+    equality = "yes" if record["equality"] else "no"
+    assert text["equality"] == f"{equality} (tol {record['tol']!r})"
 
 
 def test_verify_with_weight_and_check(files, capsys):
@@ -257,7 +296,13 @@ def test_check_fails_on_scaled_cosines(tall_files, monkeypatch, capsys):
     for command in ("verify", "correlate"):
         argv = [command, "--check", "--a", tall_files["a"], "--b", tall_files["strict"]]
         assert run(argv) == 3, command
-        assert "cosine product" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "cosine product" in captured.err
+        # the audit runs before the oracle's lines, so a failed one prints
+        # none of them: correlate stops after its correlation line
+        lines = captured.out.splitlines()
+        assert lines == ([] if command == "verify" else lines[:1]), command
+        assert all(line.startswith("correlation: ") for line in lines), command
 
 
 def test_a_bent_verdict_basis_is_a_kernel_bug(tall_files, monkeypatch, capsys):

@@ -144,6 +144,17 @@ def test_whitened_pair_weight_shape_mismatch():
         whitened_pair(a, a, fac)
 
 
+def test_a_raw_weight_matrix_names_cholesky_hpd():
+    # every weighted verdict reads its pair from whitened_pair, which takes
+    # the factored weight only: a bare M is refused with the constructor to
+    # call, not with an AttributeError from inside the whitening
+    rng = np.random.default_rng(44)
+    a, b = complex_normal(rng, 3, 2), complex_normal(rng, 3, 2)
+    for entry in (verify_inequality, classify_case, det_correlation, whitened_pair):
+        with pytest.raises(TypeError, match=r"cholesky_hpd\(M\), not as ndarray"):
+            entry(a, b, np.eye(3))
+
+
 def test_whitening_reduction_reports_identical():
     rng = np.random.default_rng(43)
     for _ in range(10):
