@@ -65,6 +65,18 @@ MUTANTS = (
         "return raw",
         "tests/test_inequality.py::test_det_correlation_is_exactly_one_when_rounding_lands_above",
     ),
+    Mutant(
+        "inequality.py",
+        "is not CaseTag.FULL_RANK_STRICT",
+        "is CaseTag.FULL_RANK_STRICT",
+        "tests/test_inequality.py::test_equality_contract_passes_sane_reports",
+    ),
+    Mutant(
+        "inequality.py",
+        "2.0 * log_det(",
+        "log_det(",
+        "tests/test_inequality.py::test_verify_square_equality_within_tolerance",
+    ),
     # the thresholds of the kernels and the oracles
     Mutant(
         "linalg.py",
@@ -249,6 +261,12 @@ MUTANTS = (
         "math.log(abs(z)) if z else -math.inf",
         "math.log(abs(z))",
         "tests/test_oracles.py::test_gram_check_refuses_a_positive_lhs_on_an_exactly_singular_product",
+    ),
+    Mutant(
+        "oracles.py",
+        "np.abs(mat).max() or 1.0",
+        "np.abs(mat).max()",
+        "tests/test_oracles.py::test_gram_check_passes_a_zero_lhs_on_a_zero_product",
     ),
     Mutant(
         "oracles.py",

@@ -52,9 +52,6 @@ class CaseTag(enum.Enum):
     FULL_RANK_SAME_SPAN = "FullRankSameSpan"
     FULL_RANK_STRICT = "FullRankStrict"
 
-    def implies_equality(self) -> bool:
-        return self is not CaseTag.FULL_RANK_STRICT
-
 
 # The fuzz ensembles, in canonical order (a trial's stream is seeded by its
 # ensemble's index here).  They are named beside the regimes they target so
@@ -102,7 +99,7 @@ class CsReport:
 
     @property
     def equality(self) -> bool:
-        return self.case_tag.implies_equality()
+        return self.case_tag is not CaseTag.FULL_RANK_STRICT
 
 
 def _same_shape(a, b):
@@ -166,9 +163,9 @@ def _correlation(overlap: np.ndarray) -> float:
     return raw if raw < 1.0 else 1.0
 
 
-def _gram_log_det(f: ColumnFactors) -> SignedLogDet:
-    """det(X*X) = |det R|^2 for a full-column-rank X = QR."""
-    return SignedLogDet(1.0 + 0j, 2.0 * sum(math.log(d) for d in f.diag))
+def _gram_log_det(f: ColumnFactors) -> float:
+    """log det(X*X) = log |det R|^2 for a full-column-rank X = QR."""
+    return 2.0 * sum(math.log(d) for d in f.diag)
 
 
 class _Verdict(NamedTuple):
@@ -309,8 +306,9 @@ def _report(v: _Verdict) -> CsReport:
         lhs = rhs = SignedLogDet.of_zero()
         relative_gap = 0.0
     else:
-        lhs = log_det(matmul(conj_transpose(v.a), v.b)).abs_squared()
-        rhs = _gram_log_det(v.fa) * _gram_log_det(v.fb)
+        # both sides are nonnegative reals: phase 1, and a zero one has log -inf
+        lhs = SignedLogDet(1.0 + 0j, 2.0 * log_det(matmul(conj_transpose(v.a), v.b)).log_magnitude)
+        rhs = SignedLogDet(1.0 + 0j, _gram_log_det(v.fa) + _gram_log_det(v.fb))
         if v.tag is not CaseTag.SQUARE_EQUAL:
             correlation = _correlation(v.z[:n])
         # an LU that finds A*B singular gives slack -inf here, so gap 1

@@ -81,7 +81,7 @@ class SignedLogDet(NamedTuple):
     scale, so determinants never leave this form inside the package.  A zero
     determinant is the one with log magnitude -inf; its phase is meaningless.
     IEEE arithmetic keeps it zero: exp(-inf) = 0, and -inf plus any log is
-    -inf.
+    -inf.  It is a plain named tuple: callers combine logs, not records.
     """
 
     phase: complex
@@ -100,13 +100,6 @@ class SignedLogDet(NamedTuple):
 
     def value(self) -> complex:
         return self.phase * math.exp(self.log_magnitude)
-
-    def abs_squared(self) -> "SignedLogDet":
-        """The determinant's squared magnitude, still in log form."""
-        return SignedLogDet(1.0 + 0j, 2.0 * self.log_magnitude)
-
-    def __mul__(self, other: "SignedLogDet") -> "SignedLogDet":
-        return SignedLogDet(self.phase * other.phase, self.log_magnitude + other.log_magnitude)
 
 
 def log_det(a: np.ndarray) -> SignedLogDet:

@@ -207,10 +207,10 @@ def check_gram_dets(a: np.ndarray, b: np.ndarray, lhs: SignedLogDet, rhs: Signed
     grams = ((aa, det_cofactor(aa)), (bb, det_cofactor(bb)))
     for name, side, pair in ("lhs", lhs, (cross, cross)), ("rhs", rhs, grams):
         if side.zero:
-            # a zero det passes whatever its product's scale
+            # a zero det passes whatever its product's scale, and a zero
+            # product (A*B = 0 for orthogonal spans) has no scale to divide by
             least = min(
-                math.log(abs(det)) - n * math.log(np.abs(mat).max()) if det else -math.inf
-                for mat, det in pair
+                _log_abs(det) - n * math.log(np.abs(mat).max() or 1.0) for mat, det in pair
             )
             if least > math.log(ZERO_DET_RTOL):
                 raise OracleError(

@@ -10,6 +10,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -347,12 +348,7 @@ def test_check_skips_determinants_above_the_cofactor_limit(tmp_path, count_calls
 
 def test_check_audits_the_right_side(tall_files, monkeypatch, capsys):
     original = inequality._gram_log_det
-
-    def inflated(f):
-        d = original(f)
-        return d._replace(log_magnitude=d.log_magnitude + 1e-3)
-
-    monkeypatch.setattr(inequality, "_gram_log_det", inflated)
+    monkeypatch.setattr(inequality, "_gram_log_det", lambda f: original(f) + 1e-3)
     argv = ["verify", "--check", "--json", "--a", tall_files["a"], "--b", tall_files["strict"]]
     assert run(argv) == 3
     assert "sqrt(rhs)" in capsys.readouterr().err
@@ -388,6 +384,25 @@ def test_check_audits_a_pair_at_any_scale(tmp_path, monkeypatch, capsys, scale):
     capsys.readouterr()
     assert run([*argv, "--check"]) == 3
     assert "sqrt(lhs)" in capsys.readouterr().err
+
+
+def test_check_never_passes_a_scaled_strict_pair_under_another_tag(tmp_path, capsys):
+    # at 1e±160 and 2^±600 the verdict's QR reads a strict pair as
+    # RankDeficientZero (defect C, ROADMAP item 4).  The audit's exact
+    # power-of-two scaling sees both Gram determinants positive, so --check
+    # exits 3 there; once the verdict keeps its tag it exits 0 with it
+    rng = np.random.default_rng(95)
+    a, b = complex_normal(rng, 12, 6), complex_normal(rng, 12, 6)
+    for scale in (2.0**600, 2.0**-600, 1e160, 1e-160):
+        save_matrix(tmp_path / "a.mat", scale * a)
+        save_matrix(tmp_path / "b.mat", scale * b)
+        argv = ["verify", "--check", "--a", str(tmp_path / "a.mat"), "--b", str(tmp_path / "b.mat")]
+        with warnings.catch_warnings():
+            # the leaked warning is pinned by test_scaled_strict_pair_keeps_its_tag
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = run(argv)
+        out = capsys.readouterr().out
+        assert code == 3 or (code == 0 and "case: FullRankStrict\n" in out), (scale, code, out)
 
 
 def test_check_runs_no_lu_of_its_own(tall_files, files, count_calls, capsys):

@@ -309,15 +309,15 @@ def test_records_keep_their_fields_read_only():
 
 def test_signed_log_det_arithmetic():
     x = SignedLogDet(1j, 2.0)
-    y = SignedLogDet(-1.0 + 0j, 3.0)
-    p = x * y
-    assert p.phase == -1j and p.log_magnitude == 5.0 and not p.zero
-    assert (x * SignedLogDet.of_zero()).zero
-    sq = x.abs_squared()
-    assert sq.phase == 1.0 + 0j and sq.log_magnitude == 4.0
-    assert SignedLogDet.of_zero().abs_squared().zero
     assert abs(x.value() - 1j * math.exp(2.0)) < 1e-12
     assert x.magnitude() == math.exp(2.0)
+
+
+def test_signed_log_det_is_a_plain_tuple():
+    # no determinant algebra: * and + repeat and join, as a tuple's do
+    x = SignedLogDet(1j, 2.0)
+    assert x * 2 == 2 * x == tuple(x) * 2 == (1j, 2.0, 1j, 2.0)
+    assert x + x == tuple(x) * 2
 
 
 def test_zero_is_the_minus_inf_log():
@@ -327,12 +327,8 @@ def test_zero_is_the_minus_inf_log():
     with pytest.raises(AttributeError):
         zero.zero = False
     assert zero.magnitude() == 0.0 and zero.value() == 0j
-    for x in (SignedLogDet(1j, 2.0), SignedLogDet(-1.0 + 0j, -745.0), zero):
-        assert (zero * x).zero and (x * zero).zero
-    assert zero.abs_squared().zero
     for log in (0.0, -745.0, 1e300, -1e300):
-        x = SignedLogDet(1j, log)
-        assert not x.zero and not x.abs_squared().zero and not (x * x).zero
+        assert not SignedLogDet(1j, log).zero
     # a singular log_det reads zero: test_log_det_zero_matrix_flagged and
     # test_log_det_singular_flagged
 

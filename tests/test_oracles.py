@@ -286,6 +286,16 @@ def test_gram_check_refuses_a_positive_lhs_on_an_exactly_singular_product():
         check_gram_dets(a, b, one, one)
 
 
+def test_gram_check_passes_a_zero_lhs_on_a_zero_product():
+    # orthogonal spans give A*B = 0 exactly: no scale to divide its zero
+    # det by, and the zero left side passes
+    a = np.eye(4, 2, dtype=complex)
+    b = np.eye(4, dtype=complex)[:, [2, 3]]
+    report = verify_inequality(a, b)
+    assert report.lhs_log.zero and not report.rhs_log.zero
+    check_gram_dets(a, b, report.lhs_log, report.rhs_log)
+
+
 def test_gram_check_passes_fuzz_traffic():
     # the audit of verify --check on the first 250 draws of each ensemble at
     # seed 7, wherever the cofactor oracle reaches (n <= 6)
