@@ -209,6 +209,18 @@ MUTANTS = (
     ),
     Mutant(
         "linalg.py",
+        "if not math.isfinite(scale):",
+        "if False:",
+        "tests/test_linalg.py::test_log_det_rejects_nonfinite",
+    ),
+    Mutant(
+        "inequality.py",
+        "if v.z is None:",
+        "if False:",
+        "tests/test_inequality.py::test_det_correlation_regime_and_rank_errors",
+    ),
+    Mutant(
+        "linalg.py",
         'if n != cols:\n        raise ValueError(f"weight matrix',
         'if False:\n        raise ValueError(f"weight matrix',
         "tests/test_linalg.py::test_cholesky_rejects_non_square",

@@ -15,7 +15,6 @@ from .errors import (
     NotHermitian,
     NotPositiveDefinite,
     OracleError,
-    RankDeficient,
     WrongRegime,
 )
 from .inequality import (
@@ -45,7 +44,6 @@ __all__ = [
     "NotHermitian",
     "NotPositiveDefinite",
     "OracleError",
-    "RankDeficient",
     "WrongRegime",
     "EQUALITY_TOL",
     "CaseTag",

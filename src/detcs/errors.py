@@ -5,13 +5,10 @@ class DetcsError(Exception):
     """Base class for all package-specific errors."""
 
 
-class RankDeficient(DetcsError):
-    """A matrix required to have full column rank does not."""
-
-
 class WrongRegime(DetcsError):
-    """An operation defined only for strictly tall matrices (m > n) was
-    called outside that regime."""
+    """An operation defined only for strictly tall matrices (m > n), or for
+    the full-rank tall regimes, was called outside them.  A correlation
+    refused here names the regime the verdict decided."""
 
 
 class NotHermitian(DetcsError):
@@ -28,8 +25,9 @@ class InequalityViolation(DetcsError):
 
 
 class OracleError(DetcsError):
-    """A brute-force reference computation refused its input or failed an
-    internal guarantee."""
+    """A brute-force reference computation failed an internal guarantee or
+    disagreed with the verdict path.  An input an oracle refuses raises
+    ValueError or WrongRegime instead, so this signals a kernel bug."""
 
 
 class MatrixParseError(DetcsError):

@@ -24,9 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InequalityViolation, RankDeficient, WrongRegime
+from .errors import InequalityViolation, WrongRegime
 from .linalg import (
-    RANK_TOL,
     UNIT_SLACK,
     ColumnFactors,
     HpdFactor,
@@ -226,10 +225,11 @@ def _correlated(a, b, m_fac: HpdFactor | None) -> tuple[_Verdict, float]:
     correlation; any other pair raises after the pass."""
     v = _verdict(a, b, m_fac, EQUALITY_TOL)
     m, n = v.a.shape
-    if v.tag in (CaseTag.WIDE_EQUAL_ZERO, CaseTag.SQUARE_EQUAL):
-        raise WrongRegime(f"correlation is defined only for m > n, got {m} x {n}")
-    if v.tag is CaseTag.RANK_DEFICIENT_ZERO:
-        raise RankDeficient(f"columns are linearly dependent within tolerance {RANK_TOL:g}")
+    if v.z is None:
+        raise WrongRegime(
+            "correlation is defined only for full-rank tall pairs; "
+            f"this {m} x {n} pair is {v.tag.value}"
+        )
     return v, _correlation(v.z[:n])
 
 

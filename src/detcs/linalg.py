@@ -42,10 +42,10 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     order, with no fused multiply-add.  That is ``oracles.matmul_naive``
     bit for bit, at every numpy SIMD level.
     """
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"cannot multiply shapes {a.shape} and {b.shape}")
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ValueError(f"cannot multiply shapes {a.shape} and {b.shape}")
     return np.einsum("ij,jk->ik", a, b, order="C")
 
 
@@ -105,18 +105,21 @@ class SignedLogDet(NamedTuple):
 def log_det(a: np.ndarray) -> SignedLogDet:
     """Determinant of a square matrix via LU with partial pivoting.
 
-    A pivot below ``SINGULARITY_TOL`` times the largest input magnitude marks
-    the matrix singular (log magnitude -inf) instead of polluting the result
-    with log-of-noise.
+    ``a`` may be any square array-like with finite entries; a copy is
+    factored.  A pivot below ``SINGULARITY_TOL`` times the largest input
+    magnitude marks the matrix singular (log magnitude -inf) instead of
+    polluting the result with log-of-noise.
     """
-    n, cols = a.shape
-    if n != cols:
-        raise ValueError(f"determinant requires a square matrix, got {a.shape}")
-    scale = np.abs(a).max()
+    lu = np.array(a, dtype=np.complex128)
+    if lu.ndim != 2 or lu.shape[0] != lu.shape[1] or not lu.size:
+        raise ValueError(f"determinant requires a square matrix, got {lu.shape}")
+    n = len(lu)
+    scale = np.abs(lu).max()
+    if not math.isfinite(scale):
+        raise ValueError("matrix entries must be finite")
     if scale == 0.0:
         return SignedLogDet.of_zero()
     threshold = SINGULARITY_TOL * scale
-    lu = np.array(a, dtype=np.complex128, copy=True)
     phase = 1.0 + 0j
     log_mag = 0.0
     for k in range(n):

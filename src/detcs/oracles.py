@@ -50,7 +50,7 @@ def det_cofactor(a) -> complex:
     if n != cols:
         raise ValueError(f"determinant requires a square matrix, got {mat.shape}")
     if n > COFACTOR_MAX_N:
-        raise OracleError(f"cofactor expansion is limited to n <= {COFACTOR_MAX_N}, got n = {n}")
+        raise ValueError(f"cofactor expansion is limited to n <= {COFACTOR_MAX_N}, got n = {n}")
     rows = mat.tolist()
 
     @functools.cache

@@ -465,16 +465,19 @@ def test_correlate_half_tilted_plane(files, capsys):
 
 
 def test_correlate_square_regime_exits_2(files, capsys):
-    code = run(["correlate", "--a", files["i3"], "--b", files["i3"]])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "m > n" in captured.err
+    for name, regime in (
+        ("i3", "this 3 x 3 pair is SquareEqual"),
+        ("wide", "this 2 x 3 pair is WideEqualZero"),
+    ):
+        code = run(["correlate", "--a", files[name], "--b", files[name]])
+        assert code == 2
+        assert regime in capsys.readouterr().err
 
 
 def test_correlate_rank_deficient_exits_2(files, capsys):
     code = run(["correlate", "--a", files["deficient"], "--b", files["tall"]])
     assert code == 2
-    assert "depend" in capsys.readouterr().err
+    assert "pair is RankDeficientZero" in capsys.readouterr().err
 
 
 def test_classify_prints_tag_and_clause(files, capsys):
@@ -763,7 +766,7 @@ def test_fuzz_help_lists_the_ensembles(capsys):
 
 
 def test_every_export_resolves():
-    assert len(set(detcs.__all__)) == len(detcs.__all__) == 23
+    assert len(set(detcs.__all__)) == len(detcs.__all__) == 22
     for name in detcs.__all__:
         assert hasattr(detcs, name), name
     # the reference routes are reached only through detcs.oracles

@@ -17,7 +17,6 @@ from detcs import (
     EQUALITY_TOL,
     CsReport,
     InequalityViolation,
-    RankDeficient,
     SignedLogDet,
     SubspaceBasis,
     WrongRegime,
@@ -233,13 +232,18 @@ def test_det_correlation_unitary_invariance():
 
 
 def test_det_correlation_regime_and_rank_errors():
+    # every pair without a correlation raises WrongRegime naming its regime
     rng = np.random.default_rng(47)
     square = complex_normal(rng, 3, 3)
-    with pytest.raises(WrongRegime):
-        det_correlation(square, square)
     deficient = matmul(complex_normal(rng, 5, 1), complex_normal(rng, 1, 2))
-    with pytest.raises(RankDeficient):
-        det_correlation(deficient, complex_normal(rng, 5, 2))
+    wide = complex_normal(rng, 2, 3)
+    for a, b, tag in (
+        (square, square, "3 x 3 pair is SquareEqual"),
+        (deficient, complex_normal(rng, 5, 2), "5 x 2 pair is RankDeficientZero"),
+        (wide, wide, "2 x 3 pair is WideEqualZero"),
+    ):
+        with pytest.raises(WrongRegime, match=f"full-rank tall pairs; this {tag}$"):
+            det_correlation(a, b)
 
 
 def test_det_correlation_validates_each_operand_once(count_calls):

@@ -205,8 +205,25 @@ def test_log_det_singular_flagged():
 
 
 def test_log_det_requires_square():
-    with pytest.raises(ValueError):
-        log_det(np.zeros((2, 3), dtype=complex))
+    for shape in (2, 3), (3,), (1, 3), (0, 0):
+        with pytest.raises(ValueError, match="determinant requires a square matrix"):
+            log_det(np.zeros(shape, dtype=complex))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_log_det_rejects_nonfinite(bad):
+    a = np.eye(3, dtype=complex)
+    a[1, 2] = bad
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        log_det(a)
+
+
+def test_kernels_take_nested_lists():
+    rows = [[2.0, 1j], [0.5, -3.0]]
+    assert log_det(rows) == log_det(np.array(rows))
+    product = matmul(rows, [[1.0], [2j]])
+    assert np.array_equal(product, matmul(np.array(rows), np.array([[1.0], [2j]])))
+    assert product.dtype == np.complex128
 
 
 def block_log_det(a):

@@ -61,7 +61,8 @@ def test_det_cofactor_matches_plain_laplace():
 
 
 def test_det_cofactor_scale_guard():
-    with pytest.raises(OracleError):
+    # a refused input is a caller's error, not an oracle failure
+    with pytest.raises(ValueError, match="limited to n <= 6"):
         det_cofactor(np.eye(7, dtype=complex))
 
 
