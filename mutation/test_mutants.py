@@ -255,6 +255,30 @@ MUTANTS = (
         "if False:",
         "tests/test_inequality.py::test_whitened_pair_weight_shape_mismatch",
     ),
+    Mutant(
+        "oracles.py",
+        "if not isinstance(x, SubspaceBasis):",
+        "if False:",
+        "tests/test_oracles.py::test_a_raw_basis_names_subspace_basis",
+    ),
+    Mutant(
+        "matrixio.py",
+        'if "_" in stripped:  # int()',
+        "if False:  # int()",
+        "tests/test_matrixio.py::test_parse_refuses_digit_group_underscores",
+    ),
+    Mutant(
+        "matrixio.py",
+        'if "_" in stripped:  # float()',
+        "if False:  # float()",
+        "tests/test_matrixio.py::test_parse_refuses_digit_group_underscores",
+    ),
+    Mutant(
+        "oracles.py",
+        'require_hermitian(mat, "H")',
+        "pass",
+        "tests/test_oracles.py::test_hermitian_eigenvalues_refuse_a_non_hermitian_matrix",
+    ),
     # oracle branches
     Mutant(
         "oracles.py",

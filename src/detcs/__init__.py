@@ -4,8 +4,8 @@ The package verifies the bound, classifies every equality/strictness regime,
 and exposes the determinantal correlation |det(Qa*Qb)| between column
 spaces that controls the gap.  This module exports that verdict API and
 nothing else.  Every other module is imported by name: seeded fuzzing from
-``detcs.fuzz``, matrix files from ``detcs.matrixio`` and the brute-force
-reference routes from ``detcs.oracles``.
+``detcs.fuzz``, matrix files from ``detcs.matrixio``, and the brute-force
+reference routes and principal-angle diagnostics from ``detcs.oracles``.
 """
 
 from .errors import (
@@ -22,7 +22,6 @@ from .inequality import (
     CaseTag,
     CsReport,
     classify_case,
-    column_norm_profile,
     det_correlation,
     verify_inequality,
     whitened_pair,
@@ -30,7 +29,6 @@ from .inequality import (
 from .linalg import (
     HpdFactor,
     SignedLogDet,
-    SubspaceBasis,
     cholesky_hpd,
     conj_transpose,
     log_det,
@@ -49,13 +47,11 @@ __all__ = [
     "CaseTag",
     "CsReport",
     "classify_case",
-    "column_norm_profile",
     "det_correlation",
     "verify_inequality",
     "whitened_pair",
     "HpdFactor",
     "SignedLogDet",
-    "SubspaceBasis",
     "cholesky_hpd",
     "conj_transpose",
     "log_det",

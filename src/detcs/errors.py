@@ -12,7 +12,7 @@ class WrongRegime(DetcsError):
 
 
 class NotHermitian(DetcsError):
-    """A weight matrix failed the hermitian symmetry check."""
+    """A weight matrix or a Jacobi oracle input failed the hermitian check."""
 
 
 class NotPositiveDefinite(DetcsError):
@@ -26,8 +26,8 @@ class InequalityViolation(DetcsError):
 
 class OracleError(DetcsError):
     """A brute-force reference computation failed an internal guarantee or
-    disagreed with the verdict path.  An input an oracle refuses raises
-    ValueError or WrongRegime instead, so this signals a kernel bug."""
+    disagreed with the verdict path: a kernel bug.  An input an oracle refuses
+    raises ValueError, TypeError, WrongRegime or NotHermitian instead."""
 
 
 class MatrixParseError(DetcsError):

@@ -30,7 +30,6 @@ from .linalg import (
     ColumnFactors,
     HpdFactor,
     SignedLogDet,
-    SubspaceBasis,
     as_matrix,
     column_squares,
     conj_transpose,
@@ -243,25 +242,6 @@ def det_correlation(a, b, m_fac: HpdFactor | None = None) -> float:
     instead of being silently pulled back.
     """
     return _correlated(a, b, m_fac)[1]
-
-
-def column_norm_profile(u: SubspaceBasis, v: SubspaceBasis) -> list[float]:
-    """Euclidean norms of the columns of U*V for two orthonormal bases.
-
-    Each column of U*V is a coordinate shadow of a unit vector, so every norm
-    is at most 1; an excess past the 1e-10 slack raises.
-    """
-    if u.shape != v.shape:
-        raise ValueError(f"bases must share a shape, got {u.shape} and {v.shape}")
-    m, n = u.shape
-    if m <= n:
-        raise WrongRegime(f"profile is defined only for m > n, got {m} x {n}")
-    norms = np.sqrt(column_squares(matmul(conj_transpose(u.ortho), v.ortho)))
-    over = norms > 1.0 + UNIT_SLACK
-    if over.any():
-        j = int(over.argmax())
-        raise InequalityViolation(f"column {j} of U*V has norm {float(norms[j])!r} > 1 + {UNIT_SLACK:g}")
-    return norms.tolist()
 
 
 def classify_case(a, b, m_fac: HpdFactor | None = None, tol: float = EQUALITY_TOL) -> CaseTag:

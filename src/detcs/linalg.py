@@ -18,7 +18,7 @@ from .errors import NotHermitian, NotPositiveDefinite
 # tolerances); each is a constant, read where it is used.
 SINGULARITY_TOL = 1e-13   # LU pivot cutoff, relative to the largest entry
 PD_PIVOT_TOL = 1e-13      # Cholesky pivot cutoff, relative to the largest diagonal
-HERMITIAN_TOL = 1e-12     # relative Frobenius deviation allowed in M - M*
+HERMITIAN_TOL = 1e-12     # relative Frobenius deviation allowed in H - H*
 RANK_TOL = 1e-10          # pivoted-QR diagonal cutoff, relative to the largest
 ORTHO_TOL = 1e-11         # Frobenius deviation allowed in Q*Q - I
 UNIT_SLACK = 1e-10        # a computed cosine, correlation or column norm may exceed 1 by this
@@ -292,6 +292,17 @@ def factor_columns(a: np.ndarray) -> ColumnFactors:
     return factor_lanes((a,))[0]
 
 
+def require_hermitian(h: np.ndarray, name: str) -> None:
+    """The package's one hermitian rule, for a square ``h`` called ``name`` in
+    the message: |H - H*|_F > HERMITIAN_TOL |H|_F raises NotHermitian."""
+    fro = frobenius_norm(h)
+    deviation = frobenius_norm(h - h.conj().T)
+    if deviation > HERMITIAN_TOL * fro:
+        raise NotHermitian(
+            f"|{name} - {name}*| = {deviation:.3e} exceeds {HERMITIAN_TOL:g} * |{name}| = {HERMITIAN_TOL * fro:.3e}"
+        )
+
+
 class HpdFactor(_Record):
     """A validated hermitian positive definite weight M with its upper
     triangular factor W, W*W = M.  ``cholesky_hpd`` is the constructor; a W
@@ -312,12 +323,7 @@ def cholesky_hpd(m_matrix: np.ndarray) -> HpdFactor:
     n, cols = m_mat.shape
     if n != cols:
         raise ValueError(f"weight matrix must be square, got {m_mat.shape}")
-    fro = frobenius_norm(m_mat)
-    deviation = frobenius_norm(m_mat - m_mat.conj().T)
-    if deviation > HERMITIAN_TOL * fro:
-        raise NotHermitian(
-            f"|M - M*| = {deviation:.3e} exceeds {HERMITIAN_TOL:g} * |M| = {HERMITIAN_TOL * fro:.3e}"
-        )
+    require_hermitian(m_mat, "M")
     diag_scale = float(np.abs(np.diagonal(m_mat)).max())
     lower = np.zeros((n, n), dtype=np.complex128)
     for j in range(n):

@@ -1,8 +1,8 @@
 """Plain-text matrix files.
 
 Line 1 is ``m n``; each of the next m data lines is the row's float64
-view, 2n decimal floats ``re im`` per entry.  Blank lines, and lines whose
-first non-blank character is ``#``, are skipped.  The serializer emits
+view, 2n plain decimal floats ``re im`` per entry.  Blank lines, and lines
+whose first non-blank character is ``#``, are skipped.  The serializer emits
 shortest round-trip decimals, so parse(serialize(A)) is A bit for bit.
 """
 
@@ -31,6 +31,8 @@ def parse_matrix(text: str) -> np.ndarray:
                     f"header must be 'm n', got {len(tokens)} token(s)", line=lineno
                 )
             try:
+                if "_" in stripped:  # int() reads PEP 515 digit groups, as in 1_0
+                    raise ValueError
                 m, n = int(tokens[0]), int(tokens[1])
             except ValueError:
                 raise MatrixParseError(f"header must hold integers, got {stripped!r}", line=lineno)
@@ -49,6 +51,8 @@ def parse_matrix(text: str) -> np.ndarray:
                 f"got {len(tokens)}",
                 line=lineno,
             )
+        if "_" in stripped:  # float() reads PEP 515 digit groups, as in 1_5
+            raise MatrixParseError(f"bad number {next(t for t in tokens if '_' in t)!r}", line=lineno)
         entries = []
         for tok in tokens:
             try:

@@ -3,7 +3,8 @@
 Everything here favors obviousness over speed: Laplace expansion for
 determinants, a bare triple loop for products, and cyclic Jacobi rotations
 for hermitian eigenvalues.  Scale guards keep the exponential-cost paths from
-silently dominating a test run.  The ``--check`` comparisons live here, by their bounds.
+silently dominating a test run.  The ``--check`` comparisons live here, by their
+bounds, beside ``principal_angle_cosines`` and ``column_norm_profile``.
 """
 
 from __future__ import annotations
@@ -14,16 +15,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import OracleError, WrongRegime
+from .errors import InequalityViolation, OracleError, WrongRegime
 from .linalg import (
     UNIT_SLACK,
     ColumnFactors,
     SignedLogDet,
     SubspaceBasis,
     as_matrix,
+    column_squares,
     conj_transpose,
     frobenius_norm,
     matmul,
+    require_hermitian,
 )
 
 COFACTOR_MAX_N = 6        # Laplace expansion is exponential in n, refuse beyond this
@@ -124,6 +127,7 @@ def jacobi_sweep(w: np.ndarray, threshold: float) -> float:
 def hermitian_eigenvalues(h) -> list[float]:
     """Eigenvalues of a hermitian matrix by cyclic Jacobi, ascending.
 
+    The rotations read one triangle, so a non-hermitian input raises NotHermitian.
     Iteration stops once every off-diagonal magnitude drops below
     ``JACOBI_OFFDIAG_TOL`` times the trace (the natural scale for the PSD
     products this package feeds in).
@@ -132,6 +136,7 @@ def hermitian_eigenvalues(h) -> list[float]:
     n, cols = mat.shape
     if n != cols:
         raise ValueError(f"eigenvalues require a square matrix, got {mat.shape}")
+    require_hermitian(mat, "H")
     w = mat.copy()
     trace = float(np.diagonal(w).real.sum())
     threshold = JACOBI_OFFDIAG_TOL * abs(trace)
@@ -155,15 +160,23 @@ class PrincipalAngles(NamedTuple):
         return math.prod(self.cosines, start=1.0)
 
 
+def _overlap(u: SubspaceBasis, v: SubspaceBasis) -> np.ndarray:
+    """U*V for two bases of one tall shape: the angle diagnostics' one pairing rule."""
+    for x in (u, v):
+        if not isinstance(x, SubspaceBasis):
+            raise TypeError(f"pass each basis as SubspaceBasis(Q), not as {type(x).__name__}")
+    if u.shape != v.shape:
+        raise ValueError(f"bases must share a shape, got {u.shape} and {v.shape}")
+    m, n = u.shape
+    if m <= n:
+        raise WrongRegime(f"principal angles are defined only for m > n, got {m} x {n}")
+    return matmul(conj_transpose(u.ortho), v.ortho)
+
+
 def principal_angle_cosines(qa: SubspaceBasis, qb: SubspaceBasis) -> PrincipalAngles:
     """Singular values of Qa*Qb via Jacobi on the hermitian product
     (Qa*Qb)*(Qa*Qb): the cosines of the principal angles between the spans."""
-    if qa.shape != qb.shape:
-        raise ValueError(f"bases must share a shape, got {qa.shape} and {qb.shape}")
-    m, n = qa.shape
-    if m <= n:
-        raise WrongRegime(f"principal angles need m > n, got {m} x {n}")
-    p = matmul(conj_transpose(qa.ortho), qb.ortho)
+    p = _overlap(qa, qb)
     eigs = hermitian_eigenvalues(matmul(conj_transpose(p), p))
     cosines = []
     for e in reversed(eigs):
@@ -171,6 +184,20 @@ def principal_angle_cosines(qa: SubspaceBasis, qb: SubspaceBasis) -> PrincipalAn
             raise OracleError(f"squared cosine {e!r} exceeds 1 + {UNIT_SLACK:g}")
         cosines.append(math.sqrt(e) if e > 0.0 else 0.0)
     return PrincipalAngles(cosines=tuple(cosines))
+
+
+def column_norm_profile(u: SubspaceBasis, v: SubspaceBasis) -> list[float]:
+    """Euclidean norms of the columns of U*V for two orthonormal bases.
+
+    Each column of U*V is a coordinate shadow of a unit vector, so every norm
+    is at most 1; an excess past the 1e-10 slack raises.
+    """
+    norms = np.sqrt(column_squares(_overlap(u, v)))
+    over = norms > 1.0 + UNIT_SLACK
+    if over.any():
+        j = int(over.argmax())
+        raise InequalityViolation(f"column {j} of U*V has norm {float(norms[j])!r} > 1 + {UNIT_SLACK:g}")
+    return norms.tolist()
 
 
 def _unit_scaled(x: np.ndarray) -> tuple[np.ndarray, int]:

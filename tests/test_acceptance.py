@@ -14,8 +14,6 @@ import numpy as np
 
 from detcs import (
     CaseTag,
-    SubspaceBasis,
-    column_norm_profile,
     conj_transpose,
     det_correlation,
     log_det,
@@ -31,8 +29,9 @@ from detcs.fuzz import (
     run_fuzz,
     trial_rng,
 )
-from detcs.linalg import factor_columns, factor_lanes
+from detcs.linalg import SubspaceBasis, factor_columns, factor_lanes
 from detcs.oracles import (
+    column_norm_profile,
     det_cofactor,
     find_bilinearity_counterexample,
     hermitian_eigenvalues,

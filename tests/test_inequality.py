@@ -18,11 +18,9 @@ from detcs import (
     CsReport,
     InequalityViolation,
     SignedLogDet,
-    SubspaceBasis,
     WrongRegime,
     cholesky_hpd,
     classify_case,
-    column_norm_profile,
     conj_transpose,
     det_correlation,
     matmul,
@@ -33,9 +31,9 @@ from detcs import inequality, linalg, oracles
 from detcs.cli import run
 from detcs.fuzz import complex_normal
 from detcs.inequality import enforce_equality_contract
-from detcs.linalg import factor_columns
+from detcs.linalg import SubspaceBasis, factor_columns
 from detcs.matrixio import save_matrix
-from detcs.oracles import det_cofactor, matmul_naive
+from detcs.oracles import column_norm_profile, det_cofactor, matmul_naive
 
 
 def hpd(rng, m, ridge=1.0):
@@ -766,8 +764,8 @@ def test_column_norm_past_unit_slack_raises(monkeypatch):
     a = complex_normal(rng, 12, 6)
     b = matmul(a, complex_normal(rng, 6, 6))
     qa, qb = (SubspaceBasis(factor_columns(x).basis()) for x in (a, b))
-    original = inequality.column_squares
-    monkeypatch.setattr(inequality, "column_squares", lambda x: original(x) * (1.0 + 1e-8))
+    original = oracles.column_squares
+    monkeypatch.setattr(oracles, "column_squares", lambda x: original(x) * (1.0 + 1e-8))
     with pytest.raises(InequalityViolation, match="column 0 of U\\*V has norm"):
         column_norm_profile(qa, qb)
 

@@ -14,7 +14,6 @@ from detcs import (
     NotHermitian,
     NotPositiveDefinite,
     SignedLogDet,
-    SubspaceBasis,
     cholesky_hpd,
     conj_transpose,
     log_det,
@@ -22,7 +21,7 @@ from detcs import (
 )
 from detcs import linalg
 from detcs.fuzz import complex_normal
-from detcs.linalg import HpdFactor, as_matrix, factor_columns, factor_lanes
+from detcs.linalg import HpdFactor, SubspaceBasis, as_matrix, factor_columns, factor_lanes
 from detcs.oracles import det_cofactor, matmul_naive
 
 

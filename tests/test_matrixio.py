@@ -59,6 +59,19 @@ def test_parse_bad_number():
     assert err.value.line == 2
 
 
+def test_parse_refuses_digit_group_underscores():
+    # int() and float() read PEP 515 underscores: unchecked, the first file
+    # is [[15+20j]] and the second a 10-row matrix
+    with pytest.raises(MatrixParseError, match="line 2: bad number '1_5'") as err:
+        parse_matrix("1 1\n1_5 2_0\n")
+    assert err.value.line == 2
+    with pytest.raises(MatrixParseError, match="line 1: header must hold integers") as err:
+        parse_matrix("1_0 1\n" + "1 0\n" * 10)
+    assert err.value.line == 1
+    # a comment line may hold one
+    assert np.array_equal(parse_matrix("# a_b\n1 1\n1 2\n"), np.array([[1 + 2j]]))
+
+
 def test_parse_rejects_non_finite():
     with pytest.raises(MatrixParseError):
         parse_matrix("1 1\nnan 0\n")

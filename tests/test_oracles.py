@@ -7,9 +7,9 @@ from numpy.testing import assert_allclose
 
 from detcs import (
     EQUALITY_TOL,
+    NotHermitian,
     OracleError,
     SignedLogDet,
-    SubspaceBasis,
     WrongRegime,
     conj_transpose,
     det_correlation,
@@ -20,11 +20,12 @@ from detcs import (
     verify_inequality,
 )
 from detcs.fuzz import ENSEMBLES, complex_normal, draw_instance, trial_rng
-from detcs.linalg import factor_columns
+from detcs.linalg import SubspaceBasis, factor_columns
 from detcs.oracles import (
     COFACTOR_MAX_N,
     check_correlation,
     check_gram_dets,
+    column_norm_profile,
     det_cofactor,
     find_bilinearity_counterexample,
     hermitian_eigenvalues,
@@ -123,6 +124,14 @@ def test_hermitian_eigenvalues_require_a_square_matrix():
         hermitian_eigenvalues(np.zeros((2, 3), dtype=complex))
 
 
+def test_hermitian_eigenvalues_refuse_a_non_hermitian_matrix():
+    # the rotations read one triangle, so unchecked both of these would
+    # return [-1.0, 3.0]; their eigenvalues are 1, 1 and 1 - 2j, 1 + 2j
+    for h in ([[1, 2], [0, 1]], [[1, 2j], [2j, 1]]):
+        with pytest.raises(NotHermitian, match=r"\|H - H\*\|"):
+            hermitian_eigenvalues(h)
+
+
 def test_jacobi_refuses_to_stop_short_of_convergence(monkeypatch):
     monkeypatch.setattr(oracles, "JACOBI_MAX_SWEEPS", 1)
     p = complex_normal(np.random.default_rng(36), 6, 6)
@@ -208,6 +217,19 @@ def test_principal_angles_regime_and_shape_errors():
     other = SubspaceBasis(factor_columns(complex_normal(rng, 5, 3)).basis())
     with pytest.raises(ValueError):
         principal_angle_cosines(tall, other)
+
+
+def test_a_raw_basis_names_subspace_basis():
+    # both angle routes pair their bases through one check: a raw Q is
+    # refused by its type, and a square pair with one message
+    q = np.eye(4, 2, dtype=complex)
+    square = SubspaceBasis(np.eye(2, dtype=complex))
+    for route in (principal_angle_cosines, column_norm_profile):
+        for pair in ((q, SubspaceBasis(q)), (SubspaceBasis(q), q)):
+            with pytest.raises(TypeError, match=r"pass each basis as SubspaceBasis\(Q\), not as ndarray"):
+                route(*pair)
+        with pytest.raises(WrongRegime, match="principal angles are defined only for m > n, got 2 x 2"):
+            route(square, square)
 
 
 def test_bilinearity_defect_of_identity_triple():

@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 
+from detcs import CaseTag
 from detcs.cli import run
 from detcs.matrixio import save_matrix
 
@@ -45,3 +46,16 @@ def test_readme_examples_print_their_blocks(tmp_path, monkeypatch, capsys):
         assert out == expected, argv
         ran.append(argv[0])
     assert sorted(ran) == ["classify", "correlate", "fuzz", "verify", "verify"]
+
+
+def test_readme_library_example_runs(capsys):
+    # the python block under "Library" prints a tag with its gap, then a
+    # correlation
+    library = README.read_text().split("## Library", 1)[1]
+    block = re.search(r"^```python\n(.*?)^```", library, flags=re.M | re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    verdict, correlation = capsys.readouterr().out.splitlines()
+    tag, gap = verdict.split()
+    assert tag in {t.value for t in CaseTag}
+    assert 0.0 <= float(gap) <= 1.0
+    assert 0.0 <= float(correlation) <= 1.0
