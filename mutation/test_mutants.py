@@ -77,6 +77,12 @@ MUTANTS = (
         "log_det(",
         "tests/test_inequality.py::test_verify_square_equality_within_tolerance",
     ),
+    Mutant(
+        "inequality.py",
+        'f"case {v.tag.value}: log slack',
+        'f"log slack',
+        "tests/test_inequality.py::test_verify_absurd_tolerance_raises_on_positive_roundoff",
+    ),
     # the thresholds of the kernels and the oracles
     Mutant(
         "linalg.py",
@@ -131,6 +137,12 @@ MUTANTS = (
         "JACOBI_OFFDIAG_TOL = 1e-13",
         "JACOBI_OFFDIAG_TOL = 1e-9",
         "tests/test_oracles.py::test_hermitian_eigenvalues_match_numpy",
+    ),
+    Mutant(
+        "oracles.py",
+        "max(abs(trace), frobenius_norm(w))",
+        "abs(trace)",
+        "tests/test_oracles.py::test_hermitian_eigenvalues_of_indefinite_matrices",
     ),
     # fuzz draws and the fuzz summary
     Mutant(
@@ -242,6 +254,18 @@ MUTANTS = (
         "operator.index(value)",
         "pass",
         "tests/test_fuzz.py::test_config_counts_must_be_integers",
+    ),
+    Mutant(
+        "fuzz.py",
+        'raise ValueError(f"ensembles is a tuple of names, such as ({self.ensembles!r},)")',
+        "pass",
+        "tests/test_fuzz.py::test_config_refuses_a_bare_ensemble_name",
+    ),
+    Mutant(
+        "cli.py",
+        "if args.ensembles is not None:",
+        "if args.ensembles:",
+        "tests/test_cli.py::test_fuzz_empty_ensembles_exits_2",
     ),
     Mutant(
         "inequality.py",

@@ -16,10 +16,8 @@ from .inequality import (
     ENSEMBLES,
     EQUALITY_TOL,
     CaseTag,
-    _correlated,
     _report,
     _verdict,
-    classify_case,
 )
 from .linalg import cholesky_hpd
 from .matrixio import load_matrix, save_matrix
@@ -30,20 +28,20 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _load_operands(args):
-    """(A, B, factored M or None) from the --a/--b/--m files."""
-    a, b = load_matrix(args.a), load_matrix(args.b)
-    return a, b, cholesky_hpd(load_matrix(args.m)) if args.m else None
-
-
 def cmd_verify(args) -> int:
-    v = _verdict(*_load_operands(args), args.tol)
+    a, b = load_matrix(args.a), load_matrix(args.b)
+    v = _verdict(a, b, cholesky_hpd(load_matrix(args.m)) if args.m else None, args.tol)
     report = _report(v)
-    if args.check:
-        check_gram_dets(v.a, v.b, report.lhs_log, report.rhs_log)
-        if report.correlation is not None:
-            check_correlation(v.fa, v.qb, report.correlation)
     record = _record(report)
+    if args.check:
+        # the audit runs before anything is printed, and its principal
+        # angles join the record: null where the pair has no correlation
+        check_gram_dets(v.a, v.b, report.lhs_log, report.rhs_log)
+        record["oracle_cosines"] = record["oracle_product"] = None
+        if report.correlation is not None:
+            angles = check_correlation(v.fa, v.qb, report.correlation)
+            record["oracle_cosines"] = list(angles.cosines)
+            record["oracle_product"] = angles.correlation()
     if args.json:
         import json
 
@@ -58,6 +56,9 @@ def cmd_verify(args) -> int:
     if record["correlation"] is not None:
         print(f"correlation: {_fmt(record['correlation'])}")
     print(f"equality: {'yes' if record['equality'] else 'no'} (tol {_fmt(record['tol'])})")
+    if record.get("oracle_cosines") is not None:
+        print("oracle cosines: " + " ".join(_fmt(c) for c in record["oracle_cosines"]))
+        print(f"oracle product: {_fmt(record['oracle_product'])}")
     return 0
 
 
@@ -75,29 +76,11 @@ def _record(report) -> dict:
     }
 
 
-def cmd_correlate(args) -> int:
-    v, correlation = _correlated(*_load_operands(args))
-    print(f"correlation: {_fmt(correlation)}")
-    if args.check:
-        angles = check_correlation(v.fa, v.qb, correlation)
-        print("oracle cosines: " + " ".join(_fmt(c) for c in angles.cosines))
-        print(f"oracle product: {_fmt(angles.correlation())}")
-    return 0
-
-
-def cmd_classify(args) -> int:
-    a, b, m_fac = _load_operands(args)
-    tag = classify_case(a, b, m_fac, tol=args.tol)
-    print(tag.value)
-    print(f"clause: {CLAUSE_TEXT[tag]}")
-    return 0
-
-
 def cmd_fuzz(args) -> int:
     from .fuzz import FuzzConfig, run_fuzz  # loaded only by the command that runs it
 
     ensembles = tuple(ENSEMBLES)
-    if args.ensembles:
+    if args.ensembles is not None:
         ensembles = tuple(name.strip() for name in args.ensembles.split(",") if name.strip())
     config = FuzzConfig(
         trials=args.trials,
@@ -151,12 +134,6 @@ def _write_replays(summary) -> None:
         print(f"replay: detcs verify {args} --tol {_fmt(summary.config.tol)}")
 
 
-def _add_operands(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--a", required=True, help="path to the A matrix file")
-    parser.add_argument("--b", required=True, help="path to the B matrix file")
-    parser.add_argument("--m", help="path to the hermitian positive definite weight M")
-
-
 def _add_tol(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--tol",
@@ -164,12 +141,6 @@ def _add_tol(parser: argparse.ArgumentParser) -> None:
         default=EQUALITY_TOL,
         help="relative equality tolerance, in (0, 1); spans match when the sum of "
         "squared principal sines is at most half of it",
-    )
-
-
-def _add_check(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--check", action="store_true", help="also run oracle cross-checks (size-guarded)"
     )
 
 
@@ -184,21 +155,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="verify the inequality for one (A, B, M) instance")
-    _add_operands(p_verify)
+    p_verify.add_argument("--a", required=True, help="path to the A matrix file")
+    p_verify.add_argument("--b", required=True, help="path to the B matrix file")
+    p_verify.add_argument("--m", help="path to the hermitian positive definite weight M")
     _add_tol(p_verify)
     p_verify.add_argument("--json", action="store_true", help="emit a single-line JSON record")
-    _add_check(p_verify)
+    p_verify.add_argument(
+        "--check",
+        action="store_true",
+        help="also run oracle cross-checks (size-guarded) and print the principal-angle cosines",
+    )
     p_verify.set_defaults(func=cmd_verify)
-
-    p_corr = sub.add_parser("correlate", help="determinantal correlation |det(Qa*Qb)| of the spans")
-    _add_operands(p_corr)
-    _add_check(p_corr)
-    p_corr.set_defaults(func=cmd_correlate)
-
-    p_cls = sub.add_parser("classify", help="name the equality/strictness regime of (A, B, M)")
-    _add_operands(p_cls)
-    _add_tol(p_cls)
-    p_cls.set_defaults(func=cmd_classify)
 
     p_fuzz = sub.add_parser("fuzz", help="randomized verification over seeded ensembles")
     p_fuzz.add_argument("--trials", type=int, required=True, help="trials per ensemble")

@@ -52,6 +52,8 @@ class FuzzConfig:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         if self.m_max < 1 or self.n_max < 1:
             raise ValueError("m_max and n_max must be at least 1")
+        if isinstance(self.ensembles, str):
+            raise ValueError(f"ensembles is a tuple of names, such as ({self.ensembles!r},)")
         if not self.ensembles:
             raise ValueError("at least one ensemble is required")
         unknown = [e for e in self.ensembles if e not in ENSEMBLES]

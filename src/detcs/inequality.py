@@ -219,19 +219,6 @@ def _verdict(a, b, m_fac: HpdFactor | None, tol: float) -> _Verdict:
     return _Verdict(tag, tol, a, b, fa, fb, qb, z)
 
 
-def _correlated(a, b, m_fac: HpdFactor | None) -> tuple[_Verdict, float]:
-    """The one pass over a tall pair of full column rank, with its
-    correlation; any other pair raises after the pass."""
-    v = _verdict(a, b, m_fac, EQUALITY_TOL)
-    m, n = v.a.shape
-    if v.z is None:
-        raise WrongRegime(
-            "correlation is defined only for full-rank tall pairs; "
-            f"this {m} x {n} pair is {v.tag.value}"
-        )
-    return v, _correlation(v.z[:n])
-
-
 def det_correlation(a, b, m_fac: HpdFactor | None = None) -> float:
     """|det(Qa*Qb)| for orthonormal bases of the (whitened) inputs, in [0, 1].
 
@@ -239,9 +226,17 @@ def det_correlation(a, b, m_fac: HpdFactor | None = None) -> float:
     two column spaces: 1 exactly when the spans coincide, 0 when some
     direction of one span is orthogonal to all of the other.  The raw value
     is checked against 1 before clamping, so a value past 1 + 1e-10 raises
-    instead of being silently pulled back.
+    instead of being silently pulled back.  A pair outside the two
+    full-rank tall regimes raises WrongRegime, naming its regime.
     """
-    return _correlated(a, b, m_fac)[1]
+    v = _verdict(a, b, m_fac, EQUALITY_TOL)
+    m, n = v.a.shape
+    if v.z is None:
+        raise WrongRegime(
+            "correlation is defined only for full-rank tall pairs; "
+            f"this {m} x {n} pair is {v.tag.value}"
+        )
+    return _correlation(v.z[:n])
 
 
 def classify_case(a, b, m_fac: HpdFactor | None = None, tol: float = EQUALITY_TOL) -> CaseTag:
@@ -295,7 +290,7 @@ def _report(v: _Verdict) -> CsReport:
         slack = lhs.log_magnitude - rhs.log_magnitude
         if slack > math.log1p(tol):
             raise InequalityViolation(
-                f"log slack {slack!r} exceeds log(1 + {tol:g}): "
+                f"case {v.tag.value}: log slack {slack!r} exceeds log(1 + {tol:g}): "
                 f"lhs log {lhs.log_magnitude!r}, rhs log {rhs.log_magnitude!r}"
             )
         relative_gap = max(0.0, -math.expm1(slack))

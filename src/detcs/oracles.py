@@ -36,7 +36,7 @@ COFACTOR_MAX_N = 6        # Laplace expansion is exponential in n, refuse beyond
 DET_AGREEMENT_RTOL = 1e-9   # per determinant of a side, relative to the cofactor det
 ZERO_DET_RTOL = 1e-8        # |cofactor det| beside a side flagged zero, relative to scale^n
 COSINE_PRODUCT_ATOL = 1e-9  # |Jacobi cosine product - correlation|
-JACOBI_OFFDIAG_TOL = 1e-13  # stop when every off-diagonal magnitude is below tol * trace
+JACOBI_OFFDIAG_TOL = 1e-13  # stop when every off-diagonal magnitude is below tol * scale
 JACOBI_MAX_SWEEPS = 60
 SEARCH_TRIALS = 1000
 
@@ -129,8 +129,10 @@ def hermitian_eigenvalues(h) -> list[float]:
 
     The rotations read one triangle, so a non-hermitian input raises NotHermitian.
     Iteration stops once every off-diagonal magnitude drops below
-    ``JACOBI_OFFDIAG_TOL`` times the trace (the natural scale for the PSD
-    products this package feeds in).
+    ``JACOBI_OFFDIAG_TOL`` times the larger of |trace| and ||H||_F.  For the
+    PSD products this package feeds in the trace is the larger; an
+    indefinite matrix can have trace near 0, and ||H||_F keeps its rotations
+    out of subnormal off-diagonals.
     """
     mat = as_matrix(h)
     n, cols = mat.shape
@@ -139,7 +141,7 @@ def hermitian_eigenvalues(h) -> list[float]:
     require_hermitian(mat, "H")
     w = mat.copy()
     trace = float(np.diagonal(w).real.sum())
-    threshold = JACOBI_OFFDIAG_TOL * abs(trace)
+    threshold = JACOBI_OFFDIAG_TOL * max(abs(trace), frobenius_norm(w))
     for _ in range(JACOBI_MAX_SWEEPS):
         off_mags = np.abs(w - np.diag(np.diagonal(w)))
         if off_mags.max() <= threshold:

@@ -106,17 +106,17 @@ def test_verify_json_zero_sides(files, capsys, operand, case):
     assert record["equality"] is True
 
 
-@pytest.mark.parametrize(
-    "a, b, m, case",
-    [
-        ("wide", "wide", None, "WideEqualZero"),
-        ("i3", "i3", None, "SquareEqual"),
-        ("deficient", "deficient", None, "RankDeficientZero"),
-        ("tall", "tall_span", None, "FullRankSameSpan"),
-        ("tall", "tall_other", None, "FullRankStrict"),
-        ("tall", "tall_other", "hpd", "FullRankStrict"),
-    ],
-)
+REGIMES = [
+    ("wide", "wide", None, "WideEqualZero"),
+    ("i3", "i3", None, "SquareEqual"),
+    ("deficient", "deficient", None, "RankDeficientZero"),
+    ("tall", "tall_span", None, "FullRankSameSpan"),
+    ("tall", "tall_other", None, "FullRankStrict"),
+    ("tall", "tall_other", "hpd", "FullRankStrict"),
+]
+
+
+@pytest.mark.parametrize("a, b, m, case", REGIMES)
 def test_verify_text_and_json_agree(files, capsys, a, b, m, case):
     # both outputs print one record: each JSON value is the text's digits,
     # and a side is null exactly where the text prints zero
@@ -138,6 +138,29 @@ def test_verify_text_and_json_agree(files, capsys, a, b, m, case):
         assert text["correlation"] == repr(record["correlation"])
     equality = "yes" if record["equality"] else "no"
     assert text["equality"] == f"{equality} (tol {record['tol']!r})"
+
+
+@pytest.mark.parametrize("a, b, m, case", REGIMES)
+def test_verify_check_adds_the_oracle_lines(files, capsys, a, b, m, case):
+    # --check prints plain verify's bytes, then the Jacobi cosines and their
+    # product for a pair with a correlation; its JSON record is plain
+    # verify's plus the same two values, null where correlation is null
+    argv = ["verify", "--a", files[a], "--b", files[b], *(["--m", files[m]] if m else [])]
+    out = {}
+    for extra in ((), ("--check",), ("--json",), ("--check", "--json")):
+        assert run([*argv, *extra]) == 0
+        out[extra] = capsys.readouterr().out
+    record, checked = json.loads(out[("--json",)]), json.loads(out[("--check", "--json")])
+    assert sorted(checked) == sorted([*JSON_KEYS, "oracle_cosines", "oracle_product"])
+    cosines, product = checked.pop("oracle_cosines"), checked.pop("oracle_product")
+    assert checked == record and record["case"] == case
+    if record["correlation"] is None:
+        assert cosines is None and product is None
+        assert out[("--check",)] == out[()]
+    else:
+        cosines_line = f"oracle cosines: {' '.join(map(repr, cosines))}\n"
+        assert out[("--check",)] == out[()] + cosines_line + f"oracle product: {product!r}\n"
+        assert abs(product - record["correlation"]) <= oracles.COSINE_PRODUCT_ATOL
 
 
 def test_verify_with_weight_and_check(files, capsys):
@@ -196,18 +219,17 @@ def tall_files(tmp_path):
 
 
 def test_front_ends_agree(tall_files, capsys):
-    # verify, correlate and classify read one pass over the instance, so
-    # the correlation and the regime they print are the same bytes
+    # verify, classify_case and det_correlation read one pass over the
+    # instance, so the regime and the correlation are the same bytes
+    a = load_matrix(tall_files["a"])
+    m_fac = detcs.cholesky_hpd(load_matrix(tall_files["m"]))
     for other, tag in [("strict", "FullRankStrict"), ("span", "FullRankSameSpan")]:
-        for weight in ([], ["--m", tall_files["m"]]):
-            operands = ["--a", tall_files["a"], "--b", tall_files[other], *weight]
-            out = {}
-            for command in ("verify", "correlate", "classify"):
-                assert run([command, *operands]) == 0
-                out[command] = capsys.readouterr().out.splitlines()
-            (correlation,) = [ln for ln in out["verify"] if ln.startswith("correlation: ")]
-            assert out["correlate"][0] == correlation
-            assert out["verify"][0] == f"case: {out['classify'][0]}" == f"case: {tag}"
+        b = load_matrix(tall_files[other])
+        for weight, fac in ([], None), (["--m", tall_files["m"]], m_fac):
+            assert run(["verify", "--a", tall_files["a"], "--b", tall_files[other], *weight]) == 0
+            out = capsys.readouterr().out.splitlines()
+            assert out[0] == f"case: {detcs.classify_case(a, b, fac).value}" == f"case: {tag}"
+            assert f"correlation: {detcs.det_correlation(a, b, fac)!r}" in out
 
 
 def test_check_whitens_and_factors_once(tall_files, count_calls, capsys):
@@ -218,7 +240,7 @@ def test_check_whitens_and_factors_once(tall_files, count_calls, capsys):
     # B's basis is formed once, for Z, and A's once, for the oracles only
     count_calls(linalg.ColumnFactors, "basis")
     operands = ["--a", tall_files["a"], "--b", tall_files["strict"], "--m", tall_files["m"]]
-    for argv, bases in (["verify", "--check"], 2), (["correlate", "--check"], 2), (["correlate"], 1):
+    for argv, bases in (["verify", "--check"], 2), (["verify", "--check", "--json"], 2), (["verify"], 1):
         calls.clear()
         assert run([*argv, *operands]) == 0
         assert calls == {
@@ -230,17 +252,17 @@ def test_check_whitens_and_factors_once(tall_files, count_calls, capsys):
     capsys.readouterr()
 
 
-def test_plain_correlate_reads_the_verdicts_overlap(tall_files, count_calls, capsys):
-    # the correlation is read from Z[:n] = Qa*Qb: no product is formed
-    # outside the verdict (whose whitening makes one per 8-row block of the
-    # 12-row W), no basis of A is formed, and each operand is validated once
+def test_plain_verify_reads_the_verdicts_overlap(tall_files, count_calls, capsys):
+    # the correlation is read from Z[:n] = Qa*Qb: the products formed are
+    # the whitening's, one per 8-row block of the 12-row W, and A*MB for
+    # the LU; no basis of A is formed, and each operand is validated once
     calls = count_calls(inequality, "as_matrix", "matmul")
     count_calls(linalg, "matmul")
     count_calls(oracles, "matmul")
     count_calls(linalg.ColumnFactors, "basis")
     operands = ["--a", tall_files["a"], "--b", tall_files["strict"], "--m", tall_files["m"]]
-    assert run(["correlate", *operands]) == 0
-    assert calls == {"as_matrix": 2, "matmul": 2, "basis": 1}
+    assert run(["verify", *operands]) == 0
+    assert calls == {"as_matrix": 2, "matmul": 3, "basis": 1}
     capsys.readouterr()
 
 
@@ -294,16 +316,12 @@ def test_check_fails_on_scaled_cosines(tall_files, monkeypatch, capsys):
         return angles._replace(cosines=tuple(c * (1.0 - 1e-6) for c in angles.cosines))
 
     monkeypatch.setattr(oracles, "principal_angle_cosines", scaled)
-    for command in ("verify", "correlate"):
-        argv = [command, "--check", "--a", tall_files["a"], "--b", tall_files["strict"]]
-        assert run(argv) == 3, command
-        captured = capsys.readouterr()
-        assert "cosine product" in captured.err
-        # the audit runs before the oracle's lines, so a failed one prints
-        # none of them: correlate stops after its correlation line
-        lines = captured.out.splitlines()
-        assert lines == ([] if command == "verify" else lines[:1]), command
-        assert all(line.startswith("correlation: ") for line in lines), command
+    argv = ["verify", "--check", "--a", tall_files["a"], "--b", tall_files["strict"]]
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert "cosine product" in captured.err
+    # the audit runs before anything is printed, so a failed one prints nothing
+    assert captured.out == ""
 
 
 def test_a_bent_verdict_basis_is_a_kernel_bug(tall_files, monkeypatch, capsys):
@@ -311,9 +329,9 @@ def test_a_bent_verdict_basis_is_a_kernel_bug(tall_files, monkeypatch, capsys):
     # orthonormality is an invariant violation (exit 3), not bad input
     original = linalg.ColumnFactors.basis
     monkeypatch.setattr(linalg.ColumnFactors, "basis", lambda self: original(self) * (1.0 + 1e-6))
-    for command in ("verify", "correlate"):
-        argv = [command, "--check", "--a", tall_files["a"], "--b", tall_files["strict"]]
-        assert run(argv) == 3, command
+    for json_flag in ([], ["--json"]):
+        argv = ["verify", "--check", *json_flag, "--a", tall_files["a"], "--b", tall_files["strict"]]
+        assert run(argv) == 3, json_flag
         err = capsys.readouterr().err
         assert err.startswith("invariant violation: verdict basis: columns are not orthonormal"), err
 
@@ -327,7 +345,7 @@ def test_squared_cosine_above_one_is_refused(tall_files, monkeypatch, capsys):
     )
     with pytest.raises(detcs.OracleError, match=r"exceeds 1 \+ 1e-10"):
         oracles.principal_angle_cosines(qa, qb)
-    argv = ["correlate", "--check", "--a", tall_files["a"], "--b", tall_files["strict"]]
+    argv = ["verify", "--check", "--a", tall_files["a"], "--b", tall_files["strict"]]
     assert run(argv) == 3
     assert "squared cosine 1.000000001 exceeds 1 + 1e-10" in capsys.readouterr().err
 
@@ -454,59 +472,55 @@ def graded(rng, m, n):
 
 
 def test_correlate_half_tilted_plane(files, capsys):
-    code = run(["correlate", "--a", files["plane_a"], "--b", files["plane_b"], "--check"])
-    out = capsys.readouterr().out
+    code = run(["verify", "--a", files["plane_a"], "--b", files["plane_b"], "--check"])
+    lines = capsys.readouterr().out.splitlines()
     assert code == 0
-    # every line is fixed by the two spans, not by the bases chosen for them
-    correlation, cosines, product = out.splitlines()
+    # each value is fixed by the two spans, not by the bases chosen for them
+    (correlation,) = [ln for ln in lines if ln.startswith("correlation: ")]
+    cosines, product = lines[-2:]
     assert correlation.startswith("correlation: 0.70710678118654")
     assert cosines.startswith("oracle cosines: 1.0 0.70710678118654")
     assert product.startswith("oracle product: 0.70710678118654")
 
 
-def test_correlate_square_regime_exits_2(files, capsys):
-    for name, regime in (
-        ("i3", "this 3 x 3 pair is SquareEqual"),
-        ("wide", "this 2 x 3 pair is WideEqualZero"),
-    ):
-        code = run(["correlate", "--a", files[name], "--b", files[name]])
-        assert code == 2
-        assert regime in capsys.readouterr().err
-
-
-def test_correlate_rank_deficient_exits_2(files, capsys):
-    code = run(["correlate", "--a", files["deficient"], "--b", files["tall"]])
-    assert code == 2
-    assert "pair is RankDeficientZero" in capsys.readouterr().err
-
-
-def test_classify_prints_tag_and_clause(files, capsys):
-    code = run(["classify", "--a", files["tall"], "--b", files["tall_span"]])
+def test_verify_prints_tag_and_clause(files, capsys):
+    code = run(["verify", "--a", files["tall"], "--b", files["tall_span"]])
     out = capsys.readouterr().out.splitlines()
     assert code == 0
-    assert out[0] == "FullRankSameSpan"
-    assert out[1].startswith("clause: ")
+    assert out[0] == "case: FullRankSameSpan"
+    assert out[1] == f"clause: {inequality.CLAUSE_TEXT[detcs.CaseTag.FULL_RANK_SAME_SPAN]}"
 
-    run(["classify", "--a", files["deficient"], "--b", files["tall"]])
-    assert capsys.readouterr().out.splitlines()[0] == "RankDeficientZero"
+    run(["verify", "--a", files["deficient"], "--b", files["tall"]])
+    assert capsys.readouterr().out.splitlines()[0] == "case: RankDeficientZero"
 
-    code = run(["classify", "--a", files["tall"], "--b", files["tall_other"], "--tol", "1e-6"])
+    code = run(["verify", "--a", files["tall"], "--b", files["tall_other"], "--tol", "1e-6"])
     assert code == 0
-    assert capsys.readouterr().out.splitlines()[0] == "FullRankStrict"
+    assert capsys.readouterr().out.splitlines()[0] == "case: FullRankStrict"
 
-    # a tolerance outside (0, 1) is refused whatever the shape, by classify,
-    # verify and fuzz alike, and classify's old spelling is gone
+    # a tolerance outside (0, 1) is refused whatever the shape, by verify
+    # and fuzz alike
     for tol in ("0", "-1", "nan", "inf", "1", "20"):
         for a, b in [("i3", "i3"), ("wide", "wide"), ("tall", "tall_span")]:
-            for command in ("classify", "verify"):
-                code = run([command, "--a", files[a], "--b", files[b], "--tol", tol])
-                assert code == 2
-                assert capsys.readouterr().out == ""
+            code = run(["verify", "--a", files[a], "--b", files[b], "--tol", tol])
+            assert code == 2
+            assert capsys.readouterr().out == ""
         assert run(["fuzz", "--trials", "1", "--tol", tol]) == 2
         assert capsys.readouterr().out == ""
-    with pytest.raises(SystemExit) as exc:
-        run(["classify", "--a", files["i3"], "--b", files["i3"], "--subspace-tol", "1e-6"])
-    assert exc.value.code == 2
+
+
+def test_verify_is_the_one_verdict_command(files, capsys):
+    # classify and correlate printed lines of verify's record and are gone,
+    # as is the old --subspace-tol spelling: each exits 2 from the parser
+    operands = ["--a", files["i3"], "--b", files["i3"]]
+    for argv in (
+        ["classify", *operands],
+        ["correlate", *operands],
+        ["verify", *operands, "--subspace-tol", "1e-6"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2, argv
+        assert capsys.readouterr().out == ""
 
 
 def test_fuzz_small_run_passes(capsys):
@@ -548,6 +562,15 @@ def test_fuzz_bad_ensemble_exits_2(capsys):
     code = run(["fuzz", "--trials", "1", "--seed", "0", "--ensembles", "ginibre,nope"])
     assert code == 2
     assert "ensemble" in capsys.readouterr().err
+
+
+def test_fuzz_empty_ensembles_exits_2(capsys):
+    # an empty list is refused however it is spelled, not read as "all"
+    for spelling in ("", ","):
+        assert run(["fuzz", "--trials", "1", "--ensembles", spelling]) == 2, spelling
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: at least one ensemble is required\n"
 
 
 def test_fuzz_violation_writes_replay_that_reproduces(tmp_path, monkeypatch, capsys):

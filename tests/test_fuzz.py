@@ -61,6 +61,14 @@ def test_trial_streams_are_reproducible_and_subset_independent():
         assert one.a.shape != other.a.shape or not np.array_equal(one.a, other.a)
 
 
+def test_config_refuses_a_bare_ensemble_name():
+    # a string is a sequence of its characters, which named the unknown
+    # ensembles 'g', 'i', 'n', ...; the refusal shows the tuple form
+    with pytest.raises(ValueError, match=r"tuple of names, such as \('ginibre',\)$"):
+        FuzzConfig(trials=1, seed=0, ensembles="ginibre")
+    assert run_fuzz(FuzzConfig(trials=1, seed=0, ensembles=("ginibre",))).total_trials == 1
+
+
 def test_unknown_ensemble_draws_nothing():
     with pytest.raises(ValueError, match="unknown ensemble 'nope'"):
         draw_instance("nope", trial_rng(0, "ginibre", 0), 8, 8)

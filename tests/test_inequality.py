@@ -486,10 +486,11 @@ def test_verify_absurd_tolerance_raises_on_positive_roundoff():
     with pytest.raises(InequalityViolation):
         verify_inequality(*pair, tol=1e-18)
     # the bound is log(1 + tol), no wider: a tol that puts the slack
-    # 1.5 times past it raises too
+    # 1.5 times past it raises too, naming the regime as the equality
+    # contract does
     report = verify_inequality(*pair)
     slack = report.lhs_log.log_magnitude - report.rhs_log.log_magnitude
-    with pytest.raises(InequalityViolation, match="exceeds log"):
+    with pytest.raises(InequalityViolation, match="^case SquareEqual: log slack .* exceeds log"):
         verify_inequality(*pair, tol=math.expm1(slack) / 1.5)
 
 
@@ -753,7 +754,7 @@ def test_correlation_past_unit_slack_raises(tmp_path, monkeypatch, capsys):
     )
     with pytest.raises(InequalityViolation, match="exceeds 1 \\+ 1e-10"):
         det_correlation(a, b)
-    assert run(["correlate", "--a", str(tmp_path / "a.mat"), "--b", str(tmp_path / "b.mat")]) == 3
+    assert run(["verify", "--a", str(tmp_path / "a.mat"), "--b", str(tmp_path / "b.mat")]) == 3
     assert "exceeds 1 + 1e-10" in capsys.readouterr().err
 
 

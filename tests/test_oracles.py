@@ -119,6 +119,24 @@ def test_hermitian_eigenvalues_match_numpy():
     assert_allclose(hermitian_eigenvalues(h), np.linalg.eigvalsh(h), rtol=0, atol=1e-14)
 
 
+def test_hermitian_eigenvalues_of_indefinite_matrices():
+    # a traceless matrix has no scale in its trace: stopping at 1e-13 * |trace|
+    # rotated into subnormal off-diagonals, overflowed (a RuntimeWarning,
+    # an error here) or ran out of sweeps, an OracleError on valid input
+    h = np.array([[0, 1j, 0], [-1j, 0, 1], [0, 1, 0]])
+    root2 = 2.0**0.5
+    assert_allclose(hermitian_eigenvalues(h), [-root2, 0.0, root2], rtol=0, atol=1e-15)
+    rng = np.random.default_rng(2024)
+    for _ in range(200):
+        n = int(rng.integers(3, 8))
+        g = complex_normal(rng, n, n)
+        h = g + conj_transpose(g)
+        h -= np.eye(n) * (np.trace(h).real / n)
+        ref = np.linalg.eigvalsh(h)
+        ours = hermitian_eigenvalues(h)
+        assert_allclose(ours, ref, rtol=0, atol=2e-15 * np.abs(ref).max())
+
+
 def test_hermitian_eigenvalues_require_a_square_matrix():
     with pytest.raises(ValueError, match="square"):
         hermitian_eigenvalues(np.zeros((2, 3), dtype=complex))

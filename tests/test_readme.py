@@ -45,7 +45,7 @@ def test_readme_examples_print_their_blocks(tmp_path, monkeypatch, capsys):
             out, expected = SLACK.sub("worst log slack *,", out), SLACK.sub("worst log slack *,", expected)
         assert out == expected, argv
         ran.append(argv[0])
-    assert sorted(ran) == ["classify", "correlate", "fuzz", "verify", "verify"]
+    assert sorted(ran) == ["fuzz", "verify", "verify", "verify"]
 
 
 def test_readme_library_example_runs(capsys):
