@@ -233,8 +233,8 @@ MUTANTS = (
     ),
     Mutant(
         "linalg.py",
-        'if n != cols:\n        raise ValueError(f"weight matrix',
-        'if False:\n        raise ValueError(f"weight matrix',
+        'if n != cols:\n            raise ValueError(f"weight matrix',
+        'if False:\n            raise ValueError(f"weight matrix',
         "tests/test_linalg.py::test_cholesky_rejects_non_square",
     ),
     Mutant(
@@ -296,6 +296,54 @@ MUTANTS = (
         'if "_" in stripped:  # float()',
         "if False:  # float()",
         "tests/test_matrixio.py::test_parse_refuses_digit_group_underscores",
+    ),
+    Mutant(
+        "matrixio.py",
+        '|[^\\t\\x20-\\x7e]"',
+        '|[^\\t\\x0c\\x20-\\x7e]"',
+        "tests/test_matrixio.py::test_load_refuses_a_form_feed_inside_a_line",
+    ),
+    Mutant(
+        "matrixio.py",
+        "if bad[1] else",
+        "if False else",
+        "tests/test_matrixio.py::test_load_names_file_and_line_of_non_ascii_byte",
+    ),
+    Mutant(
+        "matrixio.py",
+        're.split(r"\\r\\n?|\\n", text)',
+        "text.splitlines()",
+        "tests/test_matrixio.py::test_parse_ends_lines_at_lf_crlf_and_cr_only",
+    ),
+    Mutant(
+        "matrixio.py",
+        'r"\\r\\n?|\\n"',
+        'r"\\r|\\n"',
+        "tests/test_matrixio.py::test_load_names_file_and_line_of_non_ascii_byte",
+    ),
+    Mutant(
+        "matrixio.py",
+        'r"\\r\\n?|\\n"',
+        'r"\\n"',
+        "tests/test_matrixio.py::test_parse_ends_lines_at_lf_crlf_and_cr_only",
+    ),
+    Mutant(
+        "linalg.py",
+        "return type(self), (self.m_matrix,)",
+        "return type(self), (self.m_matrix, self.w_factor)",
+        "tests/test_linalg.py::test_records_keep_their_fields_read_only",
+    ),
+    Mutant(
+        "linalg.py",
+        "np.asarray(a, dtype=np.complex128).conj().T",
+        "a.conj().T",
+        "tests/test_linalg.py::test_kernels_take_nested_lists",
+    ),
+    Mutant(
+        "linalg.py",
+        "SignedLogDet(complex(phase), log_mag)",
+        "SignedLogDet(phase, log_mag)",
+        "tests/test_linalg.py::test_log_det_identity",
     ),
     Mutant(
         "oracles.py",

@@ -1,26 +1,35 @@
 """Plain-text matrix files.
 
-Line 1 is ``m n``; each of the next m data lines is the row's float64
-view, 2n plain decimal floats ``re im`` per entry.  Blank lines, and lines
-whose first non-blank character is ``#``, are skipped.  The serializer emits
+Line 1 is ``m n``; each of the next m data lines is the row's float64 view,
+2n plain decimal floats ``re im`` per entry.  Blank lines, and lines whose
+first non-blank character is ``#``, are skipped.  LF, CR LF and CR end a
+line; any line holds only printable ASCII and tabs.  The serializer emits
 shortest round-trip decimals, so parse(serialize(A)) is A bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
 from .errors import MatrixParseError
 from .linalg import as_matrix
 
+# group 1 is a byte past ASCII, which load_matrix decodes to U+DC80..U+DCFF
+_NOT_TEXT = re.compile(r"([\udc80-\udcff])|[^\t\x20-\x7e]")
+
 
 def parse_matrix(text: str) -> np.ndarray:
     header = None
     rows: list[list[float]] = []
     shape = (0, 0)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(re.split(r"\r\n?|\n", text), start=1):
+        bad = _NOT_TEXT.search(raw)
+        if bad:
+            what = f"byte {ord(bad[1]) - 0xDC00:#04x} is not" if bad[1] else f"{bad[0]!r} is not printable"
+            raise MatrixParseError(f"{what} ASCII", line=lineno)
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -81,22 +90,12 @@ def serialize_matrix(a) -> str:
 
 def load_matrix(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        data = fh.read()
+        text = fh.read().decode("ascii", "surrogateescape")
     try:
-        return parse_matrix(_ascii_text(data))
+        return parse_matrix(text)
     except MatrixParseError as exc:
         exc.args = (f"{path}: {exc.args[0]}",)  # the message names the file; ``line`` stays
         raise
-
-
-def _ascii_text(data: bytes) -> str:
-    """The file's bytes as text; a byte past ASCII is a parse error on its line."""
-    try:
-        return data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        # the text before the byte is ASCII; the sentinel counts its last line
-        line = len((data[: exc.start].decode("ascii") + "x").splitlines())
-        raise MatrixParseError(f"byte {data[exc.start]:#04x} is not ASCII", line=line) from None
 
 
 def save_matrix(path, a) -> None:

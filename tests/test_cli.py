@@ -471,7 +471,7 @@ def graded(rng, m, n):
     return matmul(u * np.logspace(0.0, -3.0, n), np.linalg.qr(complex_normal(rng, n, n))[0])
 
 
-def test_correlate_half_tilted_plane(files, capsys):
+def test_verify_half_tilted_plane(files, capsys):
     code = run(["verify", "--a", files["plane_a"], "--b", files["plane_b"], "--check"])
     lines = capsys.readouterr().out.splitlines()
     assert code == 0

@@ -4,6 +4,7 @@ import ast
 import copy
 import math
 import pathlib
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,7 @@ from detcs import (
     conj_transpose,
     log_det,
     matmul,
+    verify_inequality,
 )
 from detcs import linalg
 from detcs.fuzz import complex_normal
@@ -151,6 +153,11 @@ def test_log_det_identity():
     assert not d.zero
     assert d.phase == 1.0 + 0j
     assert d.log_magnitude == 0.0
+    # the phase is a Python complex, as the field is annotated and as
+    # of_zero() and the verdict's sides carry it, not a numpy scalar
+    d = log_det([[1, 2], [3, 4]])
+    assert type(d.phase) is complex
+    assert repr(d).startswith("SignedLogDet(phase=(-1-0j), log_magnitude=0.69314718")
 
 
 def test_log_det_transposition_flips_phase():
@@ -223,6 +230,9 @@ def test_kernels_take_nested_lists():
     product = matmul(rows, [[1.0], [2j]])
     assert np.array_equal(product, matmul(np.array(rows), np.array([[1.0], [2j]])))
     assert product.dtype == np.complex128
+    adjoint = conj_transpose([[1, 2j]])
+    assert np.array_equal(adjoint, np.array([[1], [-2j]]))
+    assert adjoint.dtype == np.complex128 and adjoint.flags.c_contiguous
 
 
 def block_log_det(a):
@@ -317,9 +327,12 @@ def test_records_keep_their_fields_read_only():
     with pytest.raises(AttributeError, match="cannot delete field 'w_factor'"):
         del cholesky_hpd(np.eye(2)).w_factor
     fac = cholesky_hpd(weight)
-    # identity equality; a copy is rebuilt through the validating constructor
-    twin = copy.copy(fac)
-    assert twin != fac and twin.w_factor is fac.w_factor
+    # identity equality; a copy is rebuilt from M through the factoring
+    # constructor, so it holds a new W with the same bits
+    for twin in copy.copy(fac), pickle.loads(pickle.dumps(fac)):
+        assert twin != fac and twin.w_factor is not fac.w_factor
+        assert twin.w_factor.tobytes() == fac.w_factor.tobytes()
+        assert twin.m_matrix.tobytes() == fac.m_matrix.tobytes()
     assert repr(fac).startswith("HpdFactor(m_matrix=array(")
 
 
@@ -446,15 +459,30 @@ def test_cholesky_survives_condition_1e8():
     assert err <= 1e-11 * np.linalg.norm(weight)
 
 
-def test_hpd_factor_rejects_lower_entries():
-    weight = np.diag([4.0, 9.0]).astype(complex)
-    w = np.diag([2.0, 3.0]).astype(complex)
-    w[1, 0] = 1e-300
-    with pytest.raises(ValueError):
-        HpdFactor(m_matrix=weight, w_factor=w)
-    w[1, 0] = 0.0
+def test_hpd_factor_is_made_only_by_factoring_m():
+    weight = np.diag([4.0, 9.0, 1.0]).astype(complex)
+    # this upper triangular W has W*W != M: taken beside M, it read A = e1
+    # and B = e2 as correlated 0.316 with a positive left side
+    w = np.diag([2.0, 3.0, 1.0]).astype(complex)
     w[0, 1] = 1.0
-    assert HpdFactor(m_matrix=weight, w_factor=w).w_factor is w
+    with pytest.raises(TypeError):
+        HpdFactor(m_matrix=weight, w_factor=w)
+    with pytest.raises(TypeError):
+        HpdFactor(weight, w)
+    fac = HpdFactor(weight)
+    assert np.array_equal(fac.w_factor, np.diag([2.0, 3.0, 1.0]))
+    e = np.eye(3, dtype=complex)
+    report = verify_inequality(e[:, :1], e[:, 1:2], fac)
+    assert report.correlation == 0.0 and report.lhs_log.zero
+    # cholesky_hpd stays a function returning the record: a tracer that
+    # rebinds it by identity must not replace the class whitened_pair checks
+    assert not isinstance(cholesky_hpd, type)
+    assert type(cholesky_hpd(weight)) is HpdFactor
+    rng = np.random.default_rng(15)
+    g = complex_normal(rng, 5, 5)
+    weight = matmul(conj_transpose(g), g) + np.eye(5)
+    assert HpdFactor(weight).w_factor.tobytes() == cholesky_hpd(weight).w_factor.tobytes()
+    assert not np.tril(HpdFactor(weight).w_factor, -1).any()
 
 
 def test_cholesky_rejects_non_hermitian():

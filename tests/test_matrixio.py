@@ -72,6 +72,37 @@ def test_parse_refuses_digit_group_underscores():
     assert np.array_equal(parse_matrix("# a_b\n1 1\n1 2\n"), np.array([[1 + 2j]]))
 
 
+def test_parse_refuses_characters_past_printable_ascii():
+    # str.strip and float read Unicode digits and spaces: unchecked, this
+    # text was the 1 x 1 matrix [[1]]
+    with pytest.raises(MatrixParseError, match="line 1: '１' is not printable ASCII") as err:
+        parse_matrix("1 １\n١ ０\n")
+    assert err.value.line == 1
+    for bad in ["\x00", "\x0b", "\x0c", "\x1c", "\x7f", "\x85", "\xa0", "\u2028", "é"]:
+        with pytest.raises(MatrixParseError) as err:
+            parse_matrix(f"1 1\n1 0{bad}\n")
+        assert str(err.value) == f"line 2: {bad!r} is not printable ASCII"
+    # a comment holds the same characters as a data line
+    with pytest.raises(MatrixParseError, match="line 1: 'é'"):
+        parse_matrix("# café\n1 1\n1 0\n")
+    # tabs and spaces separate numbers
+    assert np.array_equal(parse_matrix("1\t1\n \t1 \t 2\t\n"), np.array([[1 + 2j]]))
+
+
+def test_parse_ends_lines_at_lf_crlf_and_cr_only():
+    for end in ["\n", "\r\n", "\r"]:
+        text = end.join(["# two rows", "2 1", "1 0", "", "0 3"]) + end
+        assert np.array_equal(parse_matrix(text), np.array([[1], [3j]])), repr(end)
+    # a form feed does not end a line: unchecked, this one data line read as two
+    with pytest.raises(MatrixParseError) as err:
+        parse_matrix("2 1\n1 0\x0c3 0\n")
+    assert str(err.value) == "line 2: '\\x0c' is not printable ASCII"
+    # a line count goes up once at CR LF, and once at each lone CR or LF
+    with pytest.raises(MatrixParseError) as err:
+        parse_matrix("1 1\r\n\r\r\n1\n")
+    assert err.value.line == 4
+
+
 def test_parse_rejects_non_finite():
     with pytest.raises(MatrixParseError):
         parse_matrix("1 1\nnan 0\n")
@@ -132,3 +163,13 @@ def test_load_names_file_and_line_of_non_ascii_byte(tmp_path):
     path.write_bytes(b"1 1\r\n\r\n\xff 0\n")
     with pytest.raises(MatrixParseError, match="line 3: byte 0xff"):
         load_matrix(path)
+
+
+def test_load_refuses_a_form_feed_inside_a_line(tmp_path):
+    # every byte is ASCII, yet a form feed split the data line in two
+    path = tmp_path / "ff.mat"
+    path.write_bytes(b"2 1\n1 0\x0c3 0\n")
+    with pytest.raises(MatrixParseError) as err:
+        load_matrix(path)
+    assert str(err.value) == f"{path}: line 2: '\\x0c' is not printable ASCII"
+    assert err.value.line == 2
