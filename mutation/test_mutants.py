@@ -366,15 +366,27 @@ MUTANTS = (
     ),
     Mutant(
         "oracles.py",
-        "math.log(abs(z)) if z else -math.inf",
-        "math.log(abs(z))",
+        "shift = 2 * n * (ea + eb) * math.log(2.0)",
+        "shift = 0.0",
+        "tests/test_oracles.py::test_gram_check_passes_fuzz_traffic",
+    ),
+    Mutant(
+        "oracles.py",
+        "if not rows.size:\n            return 0",
+        "if not rows.size:\n            return 1",
         "tests/test_oracles.py::test_gram_check_refuses_a_positive_lhs_on_an_exactly_singular_product",
     ),
     Mutant(
         "oracles.py",
-        "np.abs(mat).max() or 1.0",
-        "np.abs(mat).max()",
-        "tests/test_oracles.py::test_gram_check_passes_a_zero_lhs_on_a_zero_product",
+        "// pivot, top[0]",
+        "// 1, top[0]",
+        "tests/test_oracles.py::test_exact_det_is_the_squared_cofactor_det_on_gaussian_integers",
+    ),
+    Mutant(
+        "linalg.py",
+        "e = math.frexp(np.abs(parts).max())[1]",
+        "e = 0",
+        "tests/test_linalg.py::test_hermitian_rule_holds_far_from_unit_scale",
     ),
     Mutant(
         "oracles.py",

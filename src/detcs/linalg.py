@@ -69,9 +69,11 @@ def column_squares(x: np.ndarray) -> np.ndarray:
 
 
 def frobenius_norm(a: np.ndarray) -> float:
-    """|A|_F of a complex matrix: the root of its summed column squares
-    (numpy.linalg.norm would hand complex input to BLAS)."""
-    return math.sqrt(float(column_squares(np.ascontiguousarray(a, dtype=np.complex128)).sum()))
+    """|A|_F without BLAS: the root of the summed column squares of A 2^-e, with e
+    the exponent of A's largest part, so the sum neither overflows nor underflows."""
+    parts = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
+    e = math.frexp(np.abs(parts).max())[1]
+    return math.ldexp(math.sqrt(float(column_squares(np.ldexp(parts, -e).view(np.complex128)).sum())), e)
 
 
 class SignedLogDet(NamedTuple):

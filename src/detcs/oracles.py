@@ -1,10 +1,10 @@
 """Brute-force reference routes used to cross-check the fast kernels.
 
-Everything here favors obviousness over speed: Laplace expansion for
-determinants, a bare triple loop for products, and cyclic Jacobi rotations
-for hermitian eigenvalues.  Scale guards keep the exponential-cost paths from
-silently dominating a test run.  The ``--check`` comparisons live here, by their
-bounds, beside ``principal_angle_cosines`` and ``column_norm_profile``.
+Everything here favors obviousness over speed: Laplace expansion and Bareiss
+elimination for determinants, a bare triple loop for products, and cyclic Jacobi
+rotations for hermitian eigenvalues.  Scale guards keep the exponential-cost
+paths from silently dominating a test run.  The ``--check`` comparisons live here,
+by their bounds, beside ``principal_angle_cosines`` and ``column_norm_profile``.
 """
 
 from __future__ import annotations
@@ -30,11 +30,12 @@ from .linalg import (
 )
 
 COFACTOR_MAX_N = 6        # Laplace expansion is exponential in n, refuse beyond this
+EXACT_MAX_N = 6           # the exact --check audit costs more than n^3; measure before raising
 # How far an oracle may disagree with the verdict path under --check.  These
 # bound the agreement of two routes to one number in floating point; they do
 # not follow --tol, which is the equality tolerance of the verdict itself.
-DET_AGREEMENT_RTOL = 1e-9   # per determinant of a side, relative to the cofactor det
-ZERO_DET_RTOL = 1e-8        # |cofactor det| beside a side flagged zero, relative to scale^n
+DET_AGREEMENT_RTOL = 1e-9   # per determinant of a side, relative to the exact det
+ZERO_DET_RTOL = 1e-8        # |exact det| beside a side flagged zero, relative to scale^n
 COSINE_PRODUCT_ATOL = 1e-9  # |Jacobi cosine product - correlation|
 JACOBI_OFFDIAG_TOL = 1e-13  # stop when every off-diagonal magnitude is below tol * scale
 JACOBI_MAX_SWEEPS = 60
@@ -202,54 +203,64 @@ def column_norm_profile(u: SubspaceBasis, v: SubspaceBasis) -> list[float]:
     return norms.tolist()
 
 
-def _unit_scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
-    """(x 2^-e, e), with e from the frexp of x's largest real or imaginary
-    part, so that part lands in [1/2, 1): an exact rescaling."""
+def det_bareiss(x: np.ndarray) -> int:
+    """|det X| of a square object array of Python ints by Bareiss's fraction-free
+    elimination: each step pivots on the first row with a nonzero lead and leaves
+    minors of order k + 1, so every division by the last pivot is exact."""
+    pivot = 1
+    while len(x):
+        rows = np.flatnonzero(x[:, 0])
+        if not rows.size:
+            return 0
+        top, rest = x[rows[0]], np.delete(x, rows[0], axis=0)
+        x, pivot = (top[0] * rest[:, 1:] - rest[:, :1] * top[1:]) // pivot, top[0]
+    return abs(pivot)
+
+
+def _integer_form(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """(R, e): the real form [[re, -im], [im, re]] of x 2^e in Python ints,
+    with 2^e the largest denominator among x's float64 parts."""
     parts = as_matrix(x).view(np.float64)
-    e = int(np.frexp(np.abs(parts).max())[1])
-    return np.ldexp(parts, -e).view(np.complex128), e
-
-
-def _log_abs(z: complex) -> float:
-    return math.log(abs(z)) if z else -math.inf
+    ratios = [p.as_integer_ratio() for p in parts.ravel().tolist()]
+    e = max(d for _, d in ratios).bit_length() - 1
+    ints = np.array([num << (e + 1 - d.bit_length()) for num, d in ratios], dtype=object)
+    re, im = ints.reshape(parts.shape)[:, 0::2], ints.reshape(parts.shape)[:, 1::2]
+    return np.block([[re, -im], [im, re]]), e
 
 
 def check_gram_dets(a: np.ndarray, b: np.ndarray, lhs: SignedLogDet, rhs: SignedLogDet) -> None:
     """Audit a verdict's sides, lhs = |det(A*MB)|^2 and rhs = det(A*MA) det(B*MB),
-    against cofactor determinants of its pair's Gram products (the pair is
+    against exact determinants of its pair's Gram products (the pair is
     whitened when weighted).  A side is a product of two determinants, so its
     square root must match their geometric mean within DET_AGREEMENT_RTOL, or,
-    flagged zero, the smaller one must be below ZERO_DET_RTOL * scale^n, with
-    scale the product's largest entry magnitude.
-    Skipped before any product above the size guard: each product is n x n.
+    flagged zero, the smaller one must be at most ZERO_DET_RTOL * scale^n,
+    with scale the product's largest entry magnitude.
+    Skipped before any product above EXACT_MAX_N: each product is n x n.
 
-    The operands are scaled by exact powers of two 2^-ea and 2^-eb first, so
-    no product or determinant overflows or underflows; the comparison runs
-    on logs, with the scaled sides' shift 2n (ea + eb) log 2 added back."""
+    Each operand is a Gaussian-integer matrix over 2^e, so R_X^T R_Y is the
+    real form of X*Y 2^(ex + ey) and its det_bareiss is |det(X*Y)|^2
+    2^(2n (ex + ey)) exactly: only the logs of the sides carry the shift back."""
     n = a.shape[1]
-    if n > COFACTOR_MAX_N:
+    if n > EXACT_MAX_N:
         return
-    (a, ea), (b, eb) = _unit_scaled(a), _unit_scaled(b)
+    (ra, ea), (rb, eb) = _integer_form(a), _integer_form(b)
     shift = 2 * n * (ea + eb) * math.log(2.0)
-    ab, aa, bb = (matmul(conj_transpose(x), y) for x, y in ((a, b), (a, a), (b, b)))
-    cross = (ab, det_cofactor(ab))
-    grams = ((aa, det_cofactor(aa)), (bb, det_cofactor(bb)))
-    for name, side, pair in ("lhs", lhs, (cross, cross)), ("rhs", rhs, grams):
+    prods = [(x[:, :, None] * y[:, None, :]).sum(axis=0) for x, y in ((ra, rb), (ra, ra), (rb, rb))]
+    exact = [(det_bareiss(g), (g[:n, :n] ** 2 + g[n:, :n] ** 2).max()) for g in prods]
+    for name, side, pair in ("lhs", lhs, exact[:1] * 2), ("rhs", rhs, exact[1:]):
         if side.zero:
-            # a zero det passes whatever its product's scale, and a zero
-            # product (A*B = 0 for orthogonal spans) has no scale to divide by
-            least = min(
-                _log_abs(det) - n * math.log(np.abs(mat).max() or 1.0) for mat, det in pair
-            )
-            if least > math.log(ZERO_DET_RTOL):
-                raise OracleError(
-                    f"{name} is zero but each cofactor det is >= {math.exp(least)!r} * scale^n"
-                )
+            # |det|^2 q^2 <= p^2 (scale^2)^n for ZERO_DET_RTOL = p/q, exactly: a
+            # zero det passes at any scale, and so does a zero product
+            p, q = ZERO_DET_RTOL.as_integer_ratio()
+            if all(det * q * q > p * p * sq**n for det, sq in pair):
+                least = min(math.sqrt(det / sq**n) for det, sq in pair)
+                raise OracleError(f"{name} is zero but each exact det is >= {least!r} * scale^n")
             continue
-        oracle = _log_abs(pair[0][1]) + _log_abs(pair[1][1]) + shift
+        product = pair[0][0] * pair[1][0]
+        oracle = 0.5 * math.log(product) - shift if product else -math.inf
         if abs(math.expm1(0.5 * (side.log_magnitude - oracle))) > DET_AGREEMENT_RTOL:
             raise OracleError(
-                f"sqrt({name}) disagrees with cofactor oracle: log {name} "
+                f"sqrt({name}) disagrees with the exact oracle: log {name} "
                 f"{side.log_magnitude!r}, oracle {oracle!r}"
             )
 

@@ -270,13 +270,25 @@ def test_check_policy_lives_beside_its_bounds():
     # the --check agreement bounds are read only in detcs.oracles, next to
     # the comparisons that read them; the CLI calls those comparisons and
     # binds no bound, and no determinant or product kernel of its own
-    bounds = ("COFACTOR_MAX_N", "DET_AGREEMENT_RTOL", "ZERO_DET_RTOL", "COSINE_PRODUCT_ATOL")
+    bounds = (
+        "COFACTOR_MAX_N",
+        "EXACT_MAX_N",
+        "DET_AGREEMENT_RTOL",
+        "ZERO_DET_RTOL",
+        "COSINE_PRODUCT_ATOL",
+    )
     for path in pathlib.Path(detcs.__file__).parent.glob("*.py"):
         if path.name != "oracles.py":
             text = path.read_text()
             assert [b for b in bounds[1:] if b in text] == [], path.name
     assert not set(bounds) & set(vars(cli))
-    kernels = (oracles.det_cofactor, linalg.log_det, linalg.matmul, linalg.conj_transpose)
+    kernels = (
+        oracles.det_cofactor,
+        oracles.det_bareiss,
+        linalg.log_det,
+        linalg.matmul,
+        linalg.conj_transpose,
+    )
     bound = [value for value in vars(cli).values() if any(value is k for k in kernels)]
     assert bound == []
     # the audit reads the sides the verdict printed and runs no LU of its own
@@ -350,18 +362,21 @@ def test_squared_cosine_above_one_is_refused(tall_files, monkeypatch, capsys):
     assert "squared cosine 1.000000001 exceeds 1 + 1e-10" in capsys.readouterr().err
 
 
-def test_check_skips_determinants_above_the_cofactor_limit(tmp_path, count_calls):
-    # the Gram products of a 12 x 7 pair are past the cofactor oracle's
-    # limit, so no cofactor determinant and no audit product is formed: the
-    # two products left are the Jacobi cross-check's
-    n = oracles.COFACTOR_MAX_N + 1
+def test_check_skips_determinants_above_the_exact_limit(tmp_path, count_calls):
+    # the Gram products of a 12 x 7 pair are past the exact audit's limit,
+    # so no exact determinant and no audit product is formed: the two
+    # products left are the Jacobi cross-check's.  At 12 x 6 the audit adds
+    # its three exact determinants and no floating product
     rng = np.random.default_rng(82)
-    for name in "ab":
-        save_matrix(tmp_path / f"{name}.mat", complex_normal(rng, 12, n))
-    calls = count_calls(oracles, "det_cofactor", "matmul")
-    argv = ["verify", "--check", "--a", str(tmp_path / "a.mat"), "--b", str(tmp_path / "b.mat")]
-    assert run(argv) == 0
-    assert calls == {"matmul": 2}
+    calls = count_calls(oracles, "det_bareiss", "det_cofactor", "matmul")
+    limit = oracles.EXACT_MAX_N
+    for n, expected in (limit + 1, {"matmul": 2}), (limit, {"matmul": 2, "det_bareiss": 3}):
+        for name in "ab":
+            save_matrix(tmp_path / f"{name}.mat", complex_normal(rng, 12, n))
+        argv = ["verify", "--check", "--a", str(tmp_path / "a.mat"), "--b", str(tmp_path / "b.mat")]
+        calls.clear()
+        assert run(argv) == 0
+        assert calls == expected, n
 
 
 def test_check_audits_the_right_side(tall_files, monkeypatch, capsys):
@@ -372,15 +387,15 @@ def test_check_audits_the_right_side(tall_files, monkeypatch, capsys):
     assert "sqrt(rhs)" in capsys.readouterr().err
 
 
-SCALES = [2.0**50, 2.0**-50, 2.0**80, 2.0**-80, 2.0**130, 2.0**-130, 1e40, 1e-40]
+SCALES = [2.0**50, 2.0**-50, 2.0**80, 2.0**-80, 2.0**130, 2.0**-130, 2.0**300, 2.0**-300, 1e40, 1e-40]
 
 
 @pytest.mark.parametrize("scale", SCALES)
 def test_check_audits_a_pair_at_any_scale(tmp_path, monkeypatch, capsys, scale):
-    # the audit scales each operand by an exact power of two and compares in
-    # log domain: away from unit scale the Gram determinants would underflow
-    # or overflow, and a valid pair was blamed (exit 3), crashed (exit 1) or
-    # passed unaudited
+    # the audit takes exact determinants of Gaussian integers and compares
+    # in log domain: away from unit scale, floating Gram determinants
+    # underflow or overflow, so a valid pair would be blamed (exit 3),
+    # crash (exit 1) or pass unaudited
     rng = np.random.default_rng(5)
     a = complex_normal(rng, 12, 6)
     b = complex_normal(rng, 12, 6)
@@ -407,8 +422,8 @@ def test_check_audits_a_pair_at_any_scale(tmp_path, monkeypatch, capsys, scale):
 def test_check_never_passes_a_scaled_strict_pair_under_another_tag(tmp_path, capsys):
     # at 1e±160 and 2^±600 the verdict's QR reads a strict pair as
     # RankDeficientZero (defect C, ROADMAP item 4).  The audit's exact
-    # power-of-two scaling sees both Gram determinants positive, so --check
-    # exits 3 there; once the verdict keeps its tag it exits 0 with it
+    # Gram determinants are both positive, so --check exits 3 there; once
+    # the verdict keeps its tag it exits 0 with it
     rng = np.random.default_rng(95)
     a, b = complex_normal(rng, 12, 6), complex_normal(rng, 12, 6)
     for scale in (2.0**600, 2.0**-600, 1e160, 1e-160):
@@ -438,16 +453,11 @@ def test_check_runs_no_lu_of_its_own(tall_files, files, count_calls, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the cofactor oracle's rounding error is absolute, so on a graded pair "
-    "its relative error passes DET_AGREEMENT_RTOL and --check blames a valid "
-    "verdict (ROADMAP item 6)",
-)
 def test_check_passes_graded_pairs(tmp_path, capsys):
     # fuzz seed 7's weighted trial 1371 (6 x 6, whitened condition about 461),
     # and 12 x 6 pairs whose singular values fall from 1 to 1e-3: verify
-    # exits 0 on each, and so must verify --check
+    # exits 0 on each, and so must verify --check: an audit whose rounding
+    # error is absolute blames such pairs, and the exact audit has none
     weighted = draw_instance("weighted", trial_rng(7, "weighted", 1371), 8, 8)
     sets = [{"a": weighted.a, "b": weighted.b, "m": weighted.m_fac.m_matrix}]
     for seed in (97, 98, 99):
@@ -712,6 +722,7 @@ ORACLE_NAMES = (
     "BilinearityWitness",
     "PrincipalAngles",
     "column_norm_profile",
+    "det_bareiss",
     "det_cofactor",
     "find_bilinearity_counterexample",
     "hermitian_eigenvalues",

@@ -24,7 +24,7 @@ from detcs import (
 from detcs import linalg
 from detcs.fuzz import complex_normal
 from detcs.linalg import HpdFactor, SubspaceBasis, as_matrix, factor_columns, factor_lanes
-from detcs.oracles import det_cofactor, matmul_naive
+from detcs.oracles import det_cofactor, hermitian_eigenvalues, matmul_naive
 
 
 def test_as_matrix_rejects_nonfinite():
@@ -493,6 +493,27 @@ def test_cholesky_rejects_non_hermitian():
     slight = np.array([[2.0, 1.0], [1.0 + 2e-9, 2.0]], dtype=complex)
     with pytest.raises(NotHermitian):
         cholesky_hpd(slight)
+
+
+FAR_SCALES = (2.0**600, 2.0**-600, 1e160, 1e-160, 1e-170)
+
+
+def test_hermitian_rule_holds_far_from_unit_scale():
+    # a sum of raw squares overflows to inf past about 1e154 and underflows
+    # to 0 below about 1e-154: the hermitian rule would compare inf with
+    # 1e-12 * inf, or 0 with 0, and pass any matrix, and Jacobi's threshold
+    # would be inf, so it would rotate nothing
+    rng = np.random.default_rng(61)
+    g = complex_normal(rng, 5, 3)
+    skew = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], dtype=complex)
+    for scale in FAR_SCALES:
+        assert math.isclose(linalg.frobenius_norm(scale * g), scale * linalg.frobenius_norm(g))
+        with pytest.raises(NotHermitian):
+            cholesky_hpd(scale * skew)
+    for scale in (2.0**600, 2.0**-600):
+        assert linalg.frobenius_norm(scale * g) == scale * linalg.frobenius_norm(g)
+    eigs = hermitian_eigenvalues(1e160 * np.array([[1.0, 0.1], [0.1, 1.0]]))
+    assert_allclose(eigs, [9e159, 1.1e160], rtol=1e-15)
 
 
 def test_cholesky_rejects_indefinite():

@@ -1,5 +1,5 @@
-"""Reference-route tests: cofactor determinants, naive products, Jacobi
-angles, and the bilinearity-defect search."""
+"""Reference-route tests: cofactor and exact determinants, naive products,
+Jacobi angles, and the bilinearity-defect search."""
 
 import numpy as np
 import pytest
@@ -22,10 +22,11 @@ from detcs import (
 from detcs.fuzz import ENSEMBLES, complex_normal, draw_instance, trial_rng
 from detcs.linalg import SubspaceBasis, factor_columns
 from detcs.oracles import (
-    COFACTOR_MAX_N,
+    EXACT_MAX_N,
     check_correlation,
     check_gram_dets,
     column_norm_profile,
+    det_bareiss,
     det_cofactor,
     find_bilinearity_counterexample,
     hermitian_eigenvalues,
@@ -286,19 +287,35 @@ def test_bilinearity_search_gives_up_without_a_witness(monkeypatch):
         find_bilinearity_counterexample(42)
 
 
-def test_gram_check_forms_no_product_past_the_cofactor_limit(count_calls):
+def test_gram_check_forms_no_product_past_the_exact_limit(count_calls):
     # the size guard reads the pair's column count before any product: at
-    # 64 x 32 nothing is formed, at the limit all three Gram products are
-    # formed once and checked, and no LU runs
+    # 64 x 32 and one column past the limit nothing is formed; at the limit
+    # each operand is made exact once and each of the three Gram products
+    # gets one exact determinant, with no floating product or determinant
     rng = np.random.default_rng(63)
-    calls = count_calls(oracles, "matmul", "det_cofactor")
-    checked = {"matmul": 3, "det_cofactor": 3}
-    for m, n, expected in (64, 32, {}), (12, COFACTOR_MAX_N + 1, {}), (12, COFACTOR_MAX_N, checked):
+    calls = count_calls(oracles, "_integer_form", "det_bareiss", "det_cofactor", "matmul")
+    checked = {"_integer_form": 2, "det_bareiss": 3}
+    for m, n, expected in (64, 32, {}), (12, EXACT_MAX_N + 1, {}), (12, EXACT_MAX_N, checked):
         a, b = complex_normal(rng, m, n), complex_normal(rng, m, n)
         report = verify_inequality(a, b)
         calls.clear()
         check_gram_dets(a, b, report.lhs_log, report.rhs_log)
         assert calls == expected, (m, n)
+
+
+def test_exact_det_is_the_squared_cofactor_det_on_gaussian_integers():
+    # on small Gaussian-integer matrices every cofactor product is an exact
+    # float, so both routes are exact: the real form's Bareiss determinant
+    # is |det|^2 to the last unit.  The draws hold 31 zero leads, which
+    # take a later pivot row, and one singular matrix
+    rng = np.random.default_rng(41)
+    for trial in range(200):
+        n = 1 + trial % 5
+        x = rng.integers(-3, 4, (n, n)) + 1j * rng.integers(-3, 4, (n, n))
+        real_form, e = oracles._integer_form(x)
+        d = det_cofactor(x)
+        assert e == 0
+        assert det_bareiss(real_form) == int(d.real) ** 2 + int(d.imag) ** 2, trial
 
 
 def test_gram_check_refuses_a_zero_flag_on_a_small_positive_det():
@@ -317,7 +334,7 @@ def test_gram_check_refuses_a_zero_flag_on_a_small_positive_det():
 
 
 def test_gram_check_refuses_a_positive_lhs_on_an_exactly_singular_product():
-    # A*B = diag(1, 0) exactly, so its cofactor det is 0: a left side
+    # A*B = diag(1, 0) exactly, so its exact det is 0: a left side
     # flagged positive disagrees with the oracle rather than failing its log
     a = np.eye(4, 2, dtype=complex)
     b = np.eye(4, dtype=complex)[:, [0, 2]]
@@ -339,11 +356,11 @@ def test_gram_check_passes_a_zero_lhs_on_a_zero_product():
 
 def test_gram_check_passes_fuzz_traffic():
     # the audit of verify --check on the first 250 draws of each ensemble at
-    # seed 7, wherever the cofactor oracle reaches (n <= 6)
+    # seed 7, wherever the exact audit reaches (n <= 6)
     for ensemble in ENSEMBLES:
         for trial in range(250):
             inst = draw_instance(ensemble, trial_rng(7, ensemble, trial), 8, 8)
-            if inst.a.shape[1] > COFACTOR_MAX_N:
+            if inst.a.shape[1] > EXACT_MAX_N:
                 continue
             v = inequality._verdict(inst.a, inst.b, inst.m_fac, EQUALITY_TOL)
             report = inequality._report(v)
