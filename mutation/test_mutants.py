@@ -153,9 +153,15 @@ MUTANTS = (
     ),
     Mutant(
         "fuzz.py",
-        "if slack > st.worst_slack:",
-        "if slack < st.worst_slack:",
+        "if slack > worst_slack:",
+        "if slack < worst_slack:",
         "tests/test_fuzz.py::test_worst_slack_is_the_largest_slack_between_positive_sides",
+    ),
+    Mutant(
+        "fuzz.py",
+        "if isinstance(value, bool):",
+        "if False:",
+        "tests/test_fuzz.py::test_config_counts_must_be_integers",
     ),
     Mutant(
         "fuzz.py",
@@ -347,7 +353,7 @@ MUTANTS = (
     ),
     Mutant(
         "oracles.py",
-        'require_hermitian(mat, "H")',
+        'require_hermitian(w, "H")',
         "pass",
         "tests/test_oracles.py::test_hermitian_eigenvalues_refuse_a_non_hermitian_matrix",
     ),

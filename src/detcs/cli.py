@@ -107,13 +107,13 @@ def _print_summary(summary) -> None:
     for st in summary.stats:
         slack = "n/a" if st.worst_slack == float("-inf") else _fmt(st.worst_slack)
         tags = " ".join(f"{tag.value}={st.tag_counts[tag.value]}" for tag in CaseTag)
+        passed = sum(st.tag_counts.values())
         print(
-            f"{st.name}: {st.passes} passed, {st.violations} violation(s), "
+            f"{st.name}: {passed} passed, {cfg.trials - passed} violation(s), "
             f"worst log slack {slack}, {tags}"
         )
     total = summary.total_trials
-    passed = total - len(summary.violations)
-    print(f"total: {passed}/{total} passed")
+    print(f"total: {total - len(summary.violations)}/{total} passed")
 
 
 def _write_replays(summary) -> None:

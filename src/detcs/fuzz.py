@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,6 +44,8 @@ class FuzzConfig:
         for name in ("trials", "seed", "m_max", "n_max"):
             value = getattr(self, name)
             try:
+                if isinstance(value, bool):  # operator.index(True) is 1
+                    raise TypeError
                 operator.index(value)
             except TypeError:
                 raise ValueError(f"{name} must be an integer, got {value!r}") from None
@@ -66,39 +69,36 @@ class FuzzConfig:
         _check_tol(self.tol)
 
 
-@dataclass(frozen=True)
-class FuzzInstance:
+class FuzzInstance(NamedTuple):
     a: np.ndarray
     b: np.ndarray
     m_fac: HpdFactor | None
 
 
-@dataclass
-class Violation:
+class Violation(NamedTuple):
     ensemble: str
     trial: int
     instance: FuzzInstance
     message: str
 
 
-@dataclass
-class EnsembleStats:
+class EnsembleStats(NamedTuple):
+    """One ensemble's passing trials by case tag, and the largest log slack
+    among them with both sides positive (-inf when there is none)."""
+
     name: str
-    passes: int = 0
-    violations: int = 0
-    worst_slack: float = float("-inf")
-    tag_counts: dict = field(default_factory=dict)
+    tag_counts: dict[str, int]
+    worst_slack: float
 
 
-@dataclass
-class FuzzSummary:
+class FuzzSummary(NamedTuple):
     config: FuzzConfig
     stats: list[EnsembleStats]
     violations: list[Violation]
 
     @property
     def total_trials(self) -> int:
-        return sum(s.passes + s.violations for s in self.stats)
+        return self.config.trials * len(self.config.ensembles)
 
     @property
     def passed(self) -> bool:
@@ -161,20 +161,19 @@ def run_fuzz(config: FuzzConfig) -> FuzzSummary:
     stats = []
     violations = []
     for ensemble in config.ensembles:
-        st = EnsembleStats(name=ensemble, tag_counts={tag.value: 0 for tag in CaseTag})
+        tag_counts = {tag.value: 0 for tag in CaseTag}
+        worst_slack = float("-inf")
         for trial in range(config.trials):
             rng = trial_rng(config.seed, ensemble, trial)
             instance = draw_instance(ensemble, rng, config.m_max, config.n_max)
             try:
                 report = check_instance(instance, config.tol)
             except InequalityViolation as exc:
-                st.violations += 1
                 violations.append(Violation(ensemble, trial, instance, str(exc)))
                 continue
-            st.passes += 1
-            st.tag_counts[report.case_tag.value] += 1
+            tag_counts[report.case_tag.value] += 1
             slack = report.lhs_log.log_magnitude - report.rhs_log.log_magnitude
-            if slack > st.worst_slack:  # never when a side is zero: nan or -inf
-                st.worst_slack = slack
-        stats.append(st)
-    return FuzzSummary(config=config, stats=stats, violations=violations)
+            if slack > worst_slack:  # never when a side is zero: nan or -inf
+                worst_slack = slack
+        stats.append(EnsembleStats(ensemble, tag_counts, worst_slack))
+    return FuzzSummary(config, stats, violations)

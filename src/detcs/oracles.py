@@ -43,7 +43,8 @@ SEARCH_TRIALS = 1000
 
 
 def det_cofactor(a) -> complex:
-    """Exact Laplace-expansion determinant, guarded to n <= 6.
+    """Laplace-expansion determinant in floating point, guarded to n <= 6;
+    ``det_bareiss`` is the exact kernel.
 
     The expansion runs along the first row of each minor.  A minor keeps
     the trailing rows, so its remaining columns name it, and each one is
@@ -135,12 +136,11 @@ def hermitian_eigenvalues(h) -> list[float]:
     indefinite matrix can have trace near 0, and ||H||_F keeps its rotations
     out of subnormal off-diagonals.
     """
-    mat = as_matrix(h)
-    n, cols = mat.shape
+    w = as_matrix(h)  # a new array, which the sweeps rotate in place
+    n, cols = w.shape
     if n != cols:
-        raise ValueError(f"eigenvalues require a square matrix, got {mat.shape}")
-    require_hermitian(mat, "H")
-    w = mat.copy()
+        raise ValueError(f"eigenvalues require a square matrix, got {w.shape}")
+    require_hermitian(w, "H")
     trace = float(np.diagonal(w).real.sum())
     threshold = JACOBI_OFFDIAG_TOL * max(abs(trace), frobenius_norm(w))
     for _ in range(JACOBI_MAX_SWEEPS):

@@ -609,6 +609,25 @@ def test_fuzz_violation_writes_replay_that_reproduces(tmp_path, monkeypatch, cap
     assert saved.shape == drawn.shape and saved.tobytes() == drawn.tobytes()
 
 
+def test_fuzz_summary_counts_add_up_on_a_failing_run(tmp_path, monkeypatch, capsys):
+    # each ensemble's passed and violation counts split its trials, its
+    # violations are its VIOLATION lines, and the total counts them all.
+    # Which trials break a 1e-17 tolerance depends on roundoff, so the
+    # counts are read from the output
+    monkeypatch.chdir(tmp_path)
+    assert run(["fuzz", "--trials", "30", "--seed", "7", "--tol", "1e-17"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    violations = [ln for ln in lines if ln.startswith("VIOLATION")]
+    assert violations
+    for ensemble, line in zip(fuzz.ENSEMBLES, lines[1:5]):
+        counts = line.removeprefix(f"{ensemble}: ").split(", ")[:2]
+        passed, failed = (int(c.split()[0]) for c in counts)
+        assert counts == [f"{passed} passed", f"{failed} violation(s)"], line
+        assert passed + failed == 30
+        assert failed == sum(v.startswith(f"VIOLATION ensemble={ensemble} ") for v in violations)
+    assert lines[5] == f"total: {120 - len(violations)}/120 passed"
+
+
 def test_fuzz_violation_without_a_replay_file_still_exits_3(tmp_path, monkeypatch, capsys):
     # an unwritable working directory costs the replay line, not the verdict
     def refuse(path, a):
