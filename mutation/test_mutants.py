@@ -269,8 +269,8 @@ MUTANTS = (
     ),
     Mutant(
         "cli.py",
-        "if args.ensembles is not None:",
-        "if args.ensembles:",
+        "if f.name in given}",
+        "if given.get(f.name)}",
         "tests/test_cli.py::test_fuzz_empty_ensembles_exits_2",
     ),
     Mutant(
@@ -363,6 +363,18 @@ MUTANTS = (
         "if r <= threshold:",
         "if False:",
         "tests/test_oracles.py::test_hermitian_eigenvalues_match_numpy",
+    ),
+    Mutant(
+        "oracles.py",
+        "            rotated += 1\n",
+        "",
+        "tests/test_oracles.py::test_hermitian_eigenvalues_match_numpy",
+    ),
+    Mutant(
+        "oracles.py",
+        "if not jacobi_sweep(w, threshold):",
+        "if jacobi_sweep(w, threshold) < 0:",
+        "tests/test_oracles.py::test_jacobi_stops_on_the_sweeps_own_test",
     ),
     Mutant(
         "oracles.py",

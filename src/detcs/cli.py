@@ -39,9 +39,8 @@ def cmd_verify(args) -> int:
         check_gram_dets(v.a, v.b, report.lhs_log, report.rhs_log)
         record["oracle_cosines"] = record["oracle_product"] = None
         if report.correlation is not None:
-            angles = check_correlation(v.fa, v.qb, report.correlation)
-            record["oracle_cosines"] = list(angles.cosines)
-            record["oracle_product"] = angles.correlation()
+            cosines, product = check_correlation(v.fa, v.qb, report.correlation)
+            record["oracle_cosines"], record["oracle_product"] = list(cosines), product
     if args.json:
         import json
 
@@ -77,20 +76,14 @@ def _record(report) -> dict:
 
 
 def cmd_fuzz(args) -> int:
+    import dataclasses
+
     from .fuzz import FuzzConfig, run_fuzz  # loaded only by the command that runs it
 
-    ensembles = tuple(ENSEMBLES)
-    if args.ensembles is not None:
-        ensembles = tuple(name.strip() for name in args.ensembles.split(",") if name.strip())
-    config = FuzzConfig(
-        trials=args.trials,
-        seed=args.seed,
-        m_max=args.m_max,
-        n_max=args.n_max,
-        ensembles=ensembles,
-        tol=args.tol,
-    )
-    summary = run_fuzz(config)
+    # the fuzz parser keeps only the options given, so FuzzConfig holds the defaults
+    given = vars(args)
+    options = {f.name: given[f.name] for f in dataclasses.fields(FuzzConfig) if f.name in given}
+    summary = run_fuzz(FuzzConfig(**options))
     _print_summary(summary)
     if summary.passed:
         return 0
@@ -134,11 +127,14 @@ def _write_replays(summary) -> None:
         print(f"replay: detcs verify {args} --tol {_fmt(summary.config.tol)}")
 
 
+def _ensemble_names(text: str) -> tuple[str, ...]:
+    return tuple(name.strip() for name in text.split(",") if name.strip())
+
+
 def _add_tol(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--tol",
         type=float,
-        default=EQUALITY_TOL,
         help="relative equality tolerance, in (0, 1); spans match when the sum of "
         "squared principal sines is at most half of it",
     )
@@ -165,15 +161,20 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also run oracle cross-checks (size-guarded) and print the principal-angle cosines",
     )
-    p_verify.set_defaults(func=cmd_verify)
+    p_verify.set_defaults(func=cmd_verify, tol=EQUALITY_TOL)
 
-    p_fuzz = sub.add_parser("fuzz", help="randomized verification over seeded ensembles")
+    p_fuzz = sub.add_parser(
+        "fuzz",
+        help="randomized verification over seeded ensembles",
+        argument_default=argparse.SUPPRESS,
+    )
     p_fuzz.add_argument("--trials", type=int, required=True, help="trials per ensemble")
-    p_fuzz.add_argument("--seed", type=int, default=0, help="master seed")
-    p_fuzz.add_argument("--m-max", type=int, default=8, help="largest row count")
-    p_fuzz.add_argument("--n-max", type=int, default=8, help="largest column count")
+    p_fuzz.add_argument("--seed", type=int, help="master seed")
+    p_fuzz.add_argument("--m-max", type=int, help="largest row count")
+    p_fuzz.add_argument("--n-max", type=int, help="largest column count")
     p_fuzz.add_argument(
         "--ensembles",
+        type=_ensemble_names,
         help=f"comma-separated subset of: {', '.join(ENSEMBLES)} (default: all)",
     )
     _add_tol(p_fuzz)

@@ -34,7 +34,7 @@ from .linalg import HpdFactor, cholesky_hpd, conj_transpose, matmul
 @dataclass(frozen=True)
 class FuzzConfig:
     trials: int
-    seed: int
+    seed: int = 0
     m_max: int = 8
     n_max: int = 8
     ensembles: tuple[str, ...] = ENSEMBLES

@@ -225,8 +225,8 @@ def det_correlation(a, b, m_fac: HpdFactor | None = None) -> float:
     This is the product of the cosines of the principal angles between the
     two column spaces: 1 exactly when the spans coincide, 0 when some
     direction of one span is orthogonal to all of the other.  The raw value
-    is checked against 1 before clamping, so a value past 1 + 1e-10 raises
-    instead of being silently pulled back.  A pair outside the two
+    is checked against 1 before clamping, so a value past 1 + ``UNIT_SLACK``
+    raises instead of being silently pulled back.  A pair outside the two
     full-rank tall regimes raises WrongRegime, naming its regime.
     """
     v = _verdict(a, b, m_fac, EQUALITY_TOL)

@@ -37,7 +37,7 @@ EXACT_MAX_N = 6           # the exact --check audit costs more than n^3; measure
 DET_AGREEMENT_RTOL = 1e-9   # per determinant of a side, relative to the exact det
 ZERO_DET_RTOL = 1e-8        # |exact det| beside a side flagged zero, relative to scale^n
 COSINE_PRODUCT_ATOL = 1e-9  # |Jacobi cosine product - correlation|
-JACOBI_OFFDIAG_TOL = 1e-13  # stop when every off-diagonal magnitude is below tol * scale
+JACOBI_OFFDIAG_TOL = 1e-13  # rotate a pair whose magnitude exceeds tol * scale
 JACOBI_MAX_SWEEPS = 60
 SEARCH_TRIALS = 1000
 
@@ -89,19 +89,21 @@ def matmul_naive(a, b) -> np.ndarray:
     return out
 
 
-def jacobi_sweep(w: np.ndarray, threshold: float) -> float:
+def jacobi_sweep(w: np.ndarray, threshold: float) -> int:
     """One cyclic sweep of complex Jacobi rotations on hermitian ``w``, in place.
 
     Rotates every (p, q) pair whose off-diagonal magnitude exceeds
-    ``threshold`` and returns the off-diagonal Frobenius mass left afterwards.
+    ``threshold`` and returns how many pairs it rotated.
     """
     n = w.shape[0]
+    rotated = 0
     for p in range(n - 1):
         for q in range(p + 1, n):
             h = w[p, q]
             r = abs(h)
             if r <= threshold:
                 continue
+            rotated += 1
             a = w[p, p].real
             b = w[q, q].real
             phi = h / r
@@ -123,18 +125,19 @@ def jacobi_sweep(w: np.ndarray, threshold: float) -> float:
             w[q, q] = b + t * r
             w[p, q] = 0.0
             w[q, p] = 0.0
-    return frobenius_norm(w - np.diag(np.diagonal(w)))
+    return rotated
 
 
 def hermitian_eigenvalues(h) -> list[float]:
     """Eigenvalues of a hermitian matrix by cyclic Jacobi, ascending.
 
     The rotations read one triangle, so a non-hermitian input raises NotHermitian.
-    Iteration stops once every off-diagonal magnitude drops below
-    ``JACOBI_OFFDIAG_TOL`` times the larger of |trace| and ||H||_F.  For the
-    PSD products this package feeds in the trace is the larger; an
-    indefinite matrix can have trace near 0, and ||H||_F keeps its rotations
-    out of subnormal off-diagonals.
+    A sweep rotates each pair whose magnitude exceeds ``JACOBI_OFFDIAG_TOL``
+    times the larger of |trace| and ||H||_F, and iteration stops at the first
+    sweep that rotates nothing: the sweep's own test is the one stopping
+    rule.  For the PSD products this package feeds in the trace is the
+    larger; an indefinite matrix can have trace near 0, and ||H||_F keeps
+    its rotations out of subnormal off-diagonals.
     """
     w = as_matrix(h)  # a new array, which the sweeps rotate in place
     n, cols = w.shape
@@ -144,23 +147,11 @@ def hermitian_eigenvalues(h) -> list[float]:
     trace = float(np.diagonal(w).real.sum())
     threshold = JACOBI_OFFDIAG_TOL * max(abs(trace), frobenius_norm(w))
     for _ in range(JACOBI_MAX_SWEEPS):
-        off_mags = np.abs(w - np.diag(np.diagonal(w)))
-        if off_mags.max() <= threshold:
+        if not jacobi_sweep(w, threshold):
             break
-        jacobi_sweep(w, threshold)
     else:
         raise OracleError(f"Jacobi failed to converge in {JACOBI_MAX_SWEEPS} sweeps")
     return sorted(float(x) for x in np.diagonal(w).real)
-
-
-class PrincipalAngles(NamedTuple):
-    """Cosines of the principal angles between two subspaces, sorted
-    descending; their product is the determinantal correlation."""
-
-    cosines: tuple[float, ...]
-
-    def correlation(self) -> float:
-        return math.prod(self.cosines, start=1.0)
 
 
 def _overlap(u: SubspaceBasis, v: SubspaceBasis) -> np.ndarray:
@@ -176,9 +167,10 @@ def _overlap(u: SubspaceBasis, v: SubspaceBasis) -> np.ndarray:
     return matmul(conj_transpose(u.ortho), v.ortho)
 
 
-def principal_angle_cosines(qa: SubspaceBasis, qb: SubspaceBasis) -> PrincipalAngles:
+def principal_angle_cosines(qa: SubspaceBasis, qb: SubspaceBasis) -> tuple[float, ...]:
     """Singular values of Qa*Qb via Jacobi on the hermitian product
-    (Qa*Qb)*(Qa*Qb): the cosines of the principal angles between the spans."""
+    (Qa*Qb)*(Qa*Qb): the cosines of the principal angles between the spans,
+    descending.  Their product is the determinantal correlation."""
     p = _overlap(qa, qb)
     eigs = hermitian_eigenvalues(matmul(conj_transpose(p), p))
     cosines = []
@@ -186,14 +178,14 @@ def principal_angle_cosines(qa: SubspaceBasis, qb: SubspaceBasis) -> PrincipalAn
         if e > (1.0 + UNIT_SLACK) ** 2:
             raise OracleError(f"squared cosine {e!r} exceeds 1 + {UNIT_SLACK:g}")
         cosines.append(math.sqrt(e) if e > 0.0 else 0.0)
-    return PrincipalAngles(cosines=tuple(cosines))
+    return tuple(cosines)
 
 
 def column_norm_profile(u: SubspaceBasis, v: SubspaceBasis) -> list[float]:
     """Euclidean norms of the columns of U*V for two orthonormal bases.
 
     Each column of U*V is a coordinate shadow of a unit vector, so every norm
-    is at most 1; an excess past the 1e-10 slack raises.
+    is at most 1; an excess past the ``UNIT_SLACK`` slack raises.
     """
     norms = np.sqrt(column_squares(_overlap(u, v)))
     over = norms > 1.0 + UNIT_SLACK
@@ -265,9 +257,11 @@ def check_gram_dets(a: np.ndarray, b: np.ndarray, lhs: SignedLogDet, rhs: Signed
             )
 
 
-def check_correlation(fa: ColumnFactors, qb: np.ndarray, correlation: float) -> PrincipalAngles:
+def check_correlation(
+    fa: ColumnFactors, qb: np.ndarray, correlation: float
+) -> tuple[tuple[float, ...], float]:
     """Cross-check a verdict's correlation |det(Qa*Qb)| against the product
-    of the Jacobi principal-angle cosines, and return the angles.
+    of the Jacobi principal-angle cosines, and return (cosines, product).
 
     The angles are taken on the bases of the verdict's pivoted QRs: A's,
     formed here, and Qb; the cosines do not depend on the bases chosen.
@@ -277,13 +271,13 @@ def check_correlation(fa: ColumnFactors, qb: np.ndarray, correlation: float) -> 
         bases = SubspaceBasis(fa.basis()), SubspaceBasis(qb)
     except ValueError as exc:
         raise OracleError(f"verdict basis: {exc}") from exc
-    angles = principal_angle_cosines(*bases)
-    product = angles.correlation()
+    cosines = principal_angle_cosines(*bases)
+    product = math.prod(cosines)
     if abs(product - correlation) > COSINE_PRODUCT_ATOL:
         raise OracleError(
             f"cosine product {product!r} disagrees with correlation {correlation!r}"
         )
-    return angles
+    return cosines, product
 
 
 class BilinearityWitness(NamedTuple):

@@ -5,6 +5,7 @@ PASS/FAIL line naming the property, so a verbose run reads as a checklist.
 All randomness is seeded; every run checks the same instances.
 """
 
+import math
 import os
 import shutil
 import subprocess
@@ -201,7 +202,7 @@ def test_determinant_and_angle_oracles_agree():
         corr = det_correlation(a, b)
         qa = SubspaceBasis(factor_columns(a).basis())
         qb = SubspaceBasis(factor_columns(b).basis())
-        product = principal_angle_cosines(qa, qb).correlation()
+        product = math.prod(principal_angle_cosines(qa, qb))
         worst_corr = max(worst_corr, abs(product - corr))
 
     ok = worst_det <= 1e-9 and worst_corr <= 1e-9

@@ -140,12 +140,10 @@ def test_verify_text_and_json_agree(files, capsys, a, b, m, case):
     assert text["equality"] == f"{equality} (tol {record['tol']!r})"
 
 
-@pytest.mark.parametrize("a, b, m, case", REGIMES)
-def test_verify_check_adds_the_oracle_lines(files, capsys, a, b, m, case):
-    # --check prints plain verify's bytes, then the Jacobi cosines and their
-    # product for a pair with a correlation; its JSON record is plain
-    # verify's plus the same two values, null where correlation is null
-    argv = ["verify", "--a", files[a], "--b", files[b], *(["--m", files[m]] if m else [])]
+def assert_check_adds_the_oracle_lines(argv, capsys, case):
+    """--check prints plain verify's bytes, then the Jacobi cosines and their
+    product for a pair with a correlation; its JSON record is plain
+    verify's plus the same two values, null where correlation is null."""
     out = {}
     for extra in ((), ("--check",), ("--json",), ("--check", "--json")):
         assert run([*argv, *extra]) == 0
@@ -161,6 +159,40 @@ def test_verify_check_adds_the_oracle_lines(files, capsys, a, b, m, case):
         cosines_line = f"oracle cosines: {' '.join(map(repr, cosines))}\n"
         assert out[("--check",)] == out[()] + cosines_line + f"oracle product: {product!r}\n"
         assert abs(product - record["correlation"]) <= oracles.COSINE_PRODUCT_ATOL
+
+
+@pytest.mark.parametrize("a, b, m, case", REGIMES)
+def test_verify_check_adds_the_oracle_lines(files, capsys, a, b, m, case):
+    argv = ["verify", "--a", files[a], "--b", files[b], *(["--m", files[m]] if m else [])]
+    assert_check_adds_the_oracle_lines(argv, capsys, case)
+
+
+@pytest.mark.parametrize(
+    "other, weighted, case",
+    [
+        ("strict", False, "FullRankStrict"),
+        ("span", False, "FullRankSameSpan"),
+        ("strict", True, "FullRankStrict"),
+    ],
+)
+def test_verify_check_past_desk_size(tmp_path, capsys, other, weighted, case):
+    # 64 x 32: the Jacobi oracle rotates a 32 x 32 product, past the exact
+    # audit's reach
+    rng = np.random.default_rng(82)
+    a = complex_normal(rng, 64, 32)
+    g = complex_normal(rng, 64, 64)
+    matrices = {
+        "a": a,
+        "strict": complex_normal(rng, 64, 32),
+        "span": matmul(a, complex_normal(rng, 32, 32)),
+        "m": matmul(conj_transpose(g), g) / 64.0 + 0.5 * np.eye(64),
+    }
+    for name, x in matrices.items():
+        save_matrix(tmp_path / f"{name}.mat", x)
+    argv = ["verify", "--a", str(tmp_path / "a.mat"), "--b", str(tmp_path / f"{other}.mat")]
+    if weighted:
+        argv += ["--m", str(tmp_path / "m.mat")]
+    assert_check_adds_the_oracle_lines(argv, capsys, case)
 
 
 def test_verify_with_weight_and_check(files, capsys):
@@ -324,8 +356,7 @@ def test_check_fails_on_scaled_cosines(tall_files, monkeypatch, capsys):
     original = oracles.principal_angle_cosines
 
     def scaled(qa, qb):
-        angles = original(qa, qb)
-        return angles._replace(cosines=tuple(c * (1.0 - 1e-6) for c in angles.cosines))
+        return tuple(c * (1.0 - 1e-6) for c in original(qa, qb))
 
     monkeypatch.setattr(oracles, "principal_angle_cosines", scaled)
     argv = ["verify", "--check", "--a", tall_files["a"], "--b", tall_files["strict"]]
@@ -549,6 +580,23 @@ def test_fuzz_slack_reads_n_a_without_a_positive_pair(capsys):
     assert lines[2].startswith("rank_deficient: 3 passed, 0 violation(s), worst log slack n/a,")
 
 
+def test_fuzz_defaults_live_in_the_config(monkeypatch, capsys):
+    # the command passes only the options given, so its config is the
+    # dataclass's own default, seed included
+    configs = []
+    original = fuzz.run_fuzz
+    monkeypatch.setattr(fuzz, "run_fuzz", lambda config: configs.append(config) or original(config))
+    assert run(["fuzz", "--trials", "3"]) == 0
+    config = fuzz.FuzzConfig(trials=3)
+    assert configs == [config]
+    header = capsys.readouterr().out.splitlines()[0]
+    assert header == (
+        f"fuzz: trials=3 seed={config.seed} m_max={config.m_max} n_max={config.n_max} "
+        f"tol={config.tol!r} ensembles={','.join(config.ensembles)}"
+    )
+    assert header.startswith("fuzz: trials=3 seed=0 m_max=8 n_max=8 ")
+
+
 def test_fuzz_repeat_runs_identical(capsys):
     run(["fuzz", "--trials", "8", "--seed", "9"])
     first = capsys.readouterr().out
@@ -739,7 +787,6 @@ def test_products_do_not_depend_on_simd_level_or_blas_kernel():
 
 ORACLE_NAMES = (
     "BilinearityWitness",
-    "PrincipalAngles",
     "column_norm_profile",
     "det_bareiss",
     "det_cofactor",

@@ -1,6 +1,8 @@
 """Reference-route tests: cofactor and exact determinants, naive products,
 Jacobi angles, and the bilinearity-defect search."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -20,9 +22,10 @@ from detcs import (
     verify_inequality,
 )
 from detcs.fuzz import ENSEMBLES, complex_normal, draw_instance, trial_rng
-from detcs.linalg import SubspaceBasis, factor_columns
+from detcs.linalg import SubspaceBasis, factor_columns, frobenius_norm
 from detcs.oracles import (
     EXACT_MAX_N,
+    JACOBI_MAX_SWEEPS,
     check_correlation,
     check_gram_dets,
     column_norm_profile,
@@ -151,6 +154,18 @@ def test_hermitian_eigenvalues_refuse_a_non_hermitian_matrix():
             hermitian_eigenvalues(h)
 
 
+def test_jacobi_stops_on_the_sweeps_own_test():
+    # the off-diagonal pair's magnitude reads 1e-13 * 8a by scalar abs and
+    # one ulp above it by numpy's vector abs: a separate vector scan never
+    # saw convergence while each sweep rotated nothing, and raised
+    # OracleError after 60 sweeps on this valid matrix
+    a = 786868426640.5592
+    h = a * np.eye(8, dtype=complex)
+    h[0, 1] = -0.5442589828573099 - 0.31630015636915454j
+    h[1, 0] = h[0, 1].conjugate()
+    assert_allclose(hermitian_eigenvalues(h), np.linalg.eigvalsh(h), rtol=1e-12, atol=0)
+
+
 def test_jacobi_refuses_to_stop_short_of_convergence(monkeypatch):
     monkeypatch.setattr(oracles, "JACOBI_MAX_SWEEPS", 1)
     p = complex_normal(np.random.default_rng(36), 6, 6)
@@ -162,18 +177,23 @@ def test_jacobi_offdiagonal_mass_decreases_per_sweep():
     rng = np.random.default_rng(32)
     p = complex_normal(rng, 6, 6)
     w = matmul(conj_transpose(p), p)
-    masses = []
-    for _ in range(6):
-        masses.append(jacobi_sweep(w, 0.0))
+    threshold = 1e-13 * frobenius_norm(w)
+    masses, counts = [], []
+    for _ in range(JACOBI_MAX_SWEEPS):
+        counts.append(jacobi_sweep(w, threshold))
+        masses.append(frobenius_norm(w - np.diag(np.diagonal(w))))
+        if not counts[-1]:
+            break
     for before, after in zip(masses, masses[1:]):
         assert after <= before
+    # a sweep that rotates nothing comes within the budget
+    assert counts[-1] == 0, counts
 
 
 def test_principal_angles_identical_bases():
     rng = np.random.default_rng(33)
     q = SubspaceBasis(factor_columns(complex_normal(rng, 6, 3)).basis())
-    angles = principal_angle_cosines(q, q)
-    assert_allclose(angles.cosines, np.ones(3), rtol=0, atol=1e-12)
+    assert_allclose(principal_angle_cosines(q, q), np.ones(3), rtol=0, atol=1e-12)
 
 
 def test_principal_angles_orthogonal_spans():
@@ -181,8 +201,7 @@ def test_principal_angles_orthogonal_spans():
     v = np.zeros((4, 2), dtype=complex)
     v[2, 0] = 1.0
     v[3, 1] = 1.0
-    angles = principal_angle_cosines(u, SubspaceBasis(v))
-    assert angles.cosines == (0.0, 0.0)
+    assert principal_angle_cosines(u, SubspaceBasis(v)) == (0.0, 0.0)
 
 
 def test_principal_angles_half_tilted_plane():
@@ -191,8 +210,8 @@ def test_principal_angles_half_tilted_plane():
     v = np.zeros((3, 2), dtype=complex)
     v[0, 0] = 1.0
     v[1, 1] = v[2, 1] = 1.0 / np.sqrt(2.0)
-    angles = principal_angle_cosines(u, SubspaceBasis(v))
-    assert_allclose(angles.cosines, [1.0, 1.0 / np.sqrt(2.0)], rtol=0, atol=1e-12)
+    cosines = principal_angle_cosines(u, SubspaceBasis(v))
+    assert_allclose(cosines, [1.0, 1.0 / np.sqrt(2.0)], rtol=0, atol=1e-12)
 
 
 def test_principal_angles_sorted_and_product_matches_correlation():
@@ -204,9 +223,10 @@ def test_principal_angles_sorted_and_product_matches_correlation():
         b = complex_normal(rng, m, n)
         qa = SubspaceBasis(factor_columns(a).basis())
         qb = SubspaceBasis(factor_columns(b).basis())
-        angles = principal_angle_cosines(qa, qb)
-        assert list(angles.cosines) == sorted(angles.cosines, reverse=True)
-        assert abs(angles.correlation() - det_correlation(a, b)) <= 1e-9
+        cosines = principal_angle_cosines(qa, qb)
+        assert type(cosines) is tuple
+        assert list(cosines) == sorted(cosines, reverse=True)
+        assert abs(math.prod(cosines) - det_correlation(a, b)) <= 1e-9
 
 
 def test_principal_angles_read_a_negative_squared_cosine_as_zero():
@@ -222,8 +242,8 @@ def test_principal_angles_read_a_negative_squared_cosine_as_zero():
         p = matmul(conj_transpose(qa), qb)
         if hermitian_eigenvalues(matmul(conj_transpose(p), p))[0] < 0.0:
             negatives += 1
-            angles = principal_angle_cosines(SubspaceBasis(qa), SubspaceBasis(qb))
-            assert angles.cosines[1] == 0.0
+            cosines = principal_angle_cosines(SubspaceBasis(qa), SubspaceBasis(qb))
+            assert cosines[1] == 0.0
     assert negatives > 0
 
 
