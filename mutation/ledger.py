@@ -7,9 +7,10 @@ Run from the root of a checkout, with no options:
 It prints one line per instance: the source id, the case tag, the logs of
 both sides (``zero`` for a zero side), the relative gap, the correlation
 (``none`` when it is undefined) and ``ok``.  An instance whose verdict
-raises prints the exception's class and message in place of the sides.
-Two trees whose ledgers are the same bytes give the same verdicts, to the
-last digit, on every instance of the corpus:
+raises a ``DetcsError`` prints the exception's class and message in place
+of the sides; any other exception, or a warning under ``-W error``, stops
+the ledger.  Two trees whose ledgers are the same bytes give the same
+verdicts, to the last digit, on every instance of the corpus:
 
 - trials 0-1,999 of each fuzz ensemble at seed 7, at the default sizes and
   tolerance.  A trial's instance does not depend on the trial count, so
@@ -19,17 +20,44 @@ last digit, on every instance of the corpus:
 - 12x6 ill-conditioned same-span pairs B = AC whose A has singular-value
   ratio 1e-6 (defect A) or 1e-8 (defect D); today they raise
   ``InequalityViolation``.
+
+Then come the command line's own digits, each run in-process through
+``cli.run``:
+
+- one ``check:<name>`` line per ``detcs verify --check --json`` record, on
+  seeded strict, same-span and weighted pairs at 12x6 (inside the exact
+  audit's reach) and 64x32 (the Jacobi oracle alone), written as matrix
+  files into a temporary directory.  After its prefix the line is the
+  record's bytes, or ``exit <code>`` when the command fails;
+- the ``fuzzfail:`` block: each stdout line of
+  ``detcs fuzz --trials 30 --seed 7 --tol 1e-17``, whose tolerance below
+  roundoff makes violations, as a ``fuzzfail:stdout`` line, then its exit
+  code.  Its replay files are written into a temporary directory.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
+import itertools
+import os
 import sys
+import tempfile
 
 import numpy as np
 
-from detcs import classify_case, cholesky_hpd, conj_transpose, matmul, verify_inequality
+from detcs import (
+    DetcsError,
+    classify_case,
+    cholesky_hpd,
+    cli,
+    conj_transpose,
+    matmul,
+    verify_inequality,
+)
 from detcs.fuzz import complex_normal, draw_instance, trial_rng
 from detcs.inequality import ENSEMBLES
+from detcs.matrixio import save_matrix
 
 FUZZ_SEED = 7
 FUZZ_TRIALS = 2000
@@ -91,7 +119,7 @@ def _log(d) -> str:
 def entry(source, a, b, m_fac) -> str:
     try:
         r = verify_inequality(a, b, m_fac)
-    except Exception as exc:
+    except DetcsError as exc:
         return f"{source} {classify_case(a, b, m_fac).value} {type(exc).__name__}: {exc}"
     corr = "none" if r.correlation is None else repr(r.correlation)
     return (
@@ -100,10 +128,63 @@ def entry(source, a, b, m_fac) -> str:
     )
 
 
+def check_pairs(directory):
+    """Write the seeded ``verify --check`` pairs into ``directory``, and
+    yield each pair's name and its ``verify`` options."""
+    for m, n in (12, 6), (64, 32):
+        rng = np.random.default_rng(m)
+        a = complex_normal(rng, m, n)
+        g = complex_normal(rng, m, m)
+        mats = {
+            "a": a,
+            "b": complex_normal(rng, m, n),
+            "s": matmul(a, complex_normal(rng, n, n)),
+            "m": matmul(conj_transpose(g), g) / m + 0.5 * np.eye(m),
+        }
+        path = {}
+        for key, mat in mats.items():
+            path[key] = os.path.join(directory, f"{key}{m}.mat")
+            save_matrix(path[key], mat)
+        yield f"strict-{m}", ["--a", path["a"], "--b", path["b"]]
+        yield f"same-span-{m}", ["--a", path["a"], "--b", path["s"]]
+        yield f"weighted-{m}", ["--a", path["a"], "--b", path["b"], "--m", path["m"]]
+
+
+def _cli(argv):
+    """``detcs argv`` in-process: its exit code and its stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.run(argv)
+    return code, out.getvalue()
+
+
+def check_lines():
+    with tempfile.TemporaryDirectory() as tmp:
+        lines = []
+        for name, options in check_pairs(tmp):
+            code, out = _cli(["verify", *options, "--check", "--json"])
+            record = out.removesuffix("\n") if code == 0 else f"exit {code}"
+            lines.append(f"check:{name} {record}")
+        return lines
+
+
+def fuzzfail_lines():
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            code, out = _cli(["fuzz", "--trials", "30", "--seed", str(FUZZ_SEED), "--tol", "1e-17"])
+        finally:
+            os.chdir(cwd)
+    return [f"fuzzfail:stdout {line}" for line in out.splitlines()] + [f"fuzzfail:exit {code}"]
+
+
 def ledger(trials: int = FUZZ_TRIALS) -> str:
     """The ledger text, with ``trials`` trials of each fuzz ensemble."""
     sources = (fuzz_instances(trials), readme_pairs(), tall_pairs(), defect_pairs())
-    return "".join(entry(*inst) + "\n" for source in sources for inst in source)
+    verdicts = (entry(*inst) for source in sources for inst in source)
+    lines = itertools.chain(verdicts, check_lines(), fuzzfail_lines())
+    return "".join(line + "\n" for line in lines)
 
 
 if __name__ == "__main__":

@@ -187,6 +187,25 @@ MUTANTS = (
         '"n/a" if False',
         "tests/test_cli.py::test_fuzz_slack_reads_n_a_without_a_positive_pair",
     ),
+    # a closed stdout is not bad input, whether it is found mid-run or at
+    # the final flush
+    Mutant(
+        "cli.py",
+        "    except BrokenPipeError:\n"
+        "        # not bad input: stdout's reader closed it.  As the SIGPIPE note in\n"
+        "        # Python's signal docs does, what is left goes to devnull, so the\n"
+        "        # interpreter's final flush stays quiet; 141 is 128 + SIGPIPE\n"
+        '        sys.stdout = open(os.devnull, "w")\n'
+        "        return 141\n",
+        "",
+        "tests/test_cli.py::test_closed_stdout_is_not_bad_input",
+    ),
+    Mutant(
+        "cli.py",
+        "        sys.stdout.flush()  # a reader that is gone is found here, not at exit\n",
+        "",
+        "tests/test_cli.py::test_closed_stdout_is_not_bad_input",
+    ),
     # the verify record: a zero side is None, printed as zero and as null
     Mutant(
         "cli.py",

@@ -1,13 +1,15 @@
 """Command-line front end.
 
 Exit codes: 0 verified / success, 2 input or validation error, 3 invariant
-violation (a kernel bug signal, never a property of valid input).  All
+violation (a kernel bug signal, never a property of valid input), 141 a
+closed stdout (128 + SIGPIPE, as a shell reports it).  All
 output is deterministic for a fixed command line and input files.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .errors import DetcsError, InequalityViolation, OracleError
@@ -186,7 +188,15 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that is gone is found here, not at exit
+        return code
+    except BrokenPipeError:
+        # not bad input: stdout's reader closed it.  As the SIGPIPE note in
+        # Python's signal docs does, what is left goes to devnull, so the
+        # interpreter's final flush stays quiet; 141 is 128 + SIGPIPE
+        sys.stdout = open(os.devnull, "w")
+        return 141
     except (InequalityViolation, OracleError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3

@@ -709,6 +709,53 @@ def test_module_entry_point():
     assert proc.stderr == ""
 
 
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_is_not_bad_input(unbuffered):
+    # a reader that has closed stdout before the first write: the command
+    # exits as SIGPIPE would end it (128 + 13), with nothing on stderr,
+    # whether stdout is flushed per line or only at the end
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "detcs", "fuzz", "--trials", "2", "--seed", "0"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
+
+
+@pytest.mark.parametrize(
+    "exc, code, err",
+    [
+        (BrokenPipeError(errno.EPIPE, "Broken pipe"), 141, ""),
+        (detcs.InequalityViolation("bound"), 3, "invariant violation: bound\n"),
+        (detcs.OracleError("oracle"), 3, "invariant violation: oracle\n"),
+        (detcs.NotHermitian("weight"), 2, "error: weight\n"),
+        (ValueError("shape"), 2, "error: shape\n"),
+        (FileNotFoundError(errno.ENOENT, "No such file"), 2, "error: [Errno 2] No such file\n"),
+    ],
+    ids=lambda x: type(x).__name__ if isinstance(x, Exception) else None,
+)
+def test_each_caught_class_has_its_exit_code(capsys, monkeypatch, exc, code, err):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_verify", fail)
+    # the closed-stdout clause rebinds sys.stdout: monkeypatch, set up after
+    # capsys and so undone before it, restores capsys's stream
+    monkeypatch.setattr(sys, "stdout", sys.stdout)
+    assert run(["verify", "--a", "a.mat", "--b", "b.mat"]) == code
+    assert capsys.readouterr().err == err
+
+
 
 def numpy_dispatch():
     """numpy's runtime CPU features and its dispatched SIMD targets."""
