@@ -26,13 +26,15 @@ Then come the command line's own digits, each run in-process through
 
 - one ``check:<name>`` line per ``detcs verify --check --json`` record, on
   seeded strict, same-span and weighted pairs at 12x6 (inside the exact
-  audit's reach) and 64x32 (the Jacobi oracle alone), written as matrix
-  files into a temporary directory.  After its prefix the line is the
-  record's bytes, or ``exit <code>`` when the command fails;
+  audit's reach) and 64x32 (the Jacobi oracle alone).  After its prefix
+  the line is the record's bytes; a nonzero exit stops the ledger;
 - the ``fuzzfail:`` block: each stdout line of
   ``detcs fuzz --trials 30 --seed 7 --tol 1e-17``, whose tolerance below
   roundoff makes violations, as a ``fuzzfail:stdout`` line, then its exit
-  code.  Its replay files are written into a temporary directory.
+  code.
+
+Both run with a temporary directory as the working directory, which takes
+the pairs' matrix files and the fuzz run's replay files.
 """
 
 from __future__ import annotations
@@ -128,9 +130,9 @@ def entry(source, a, b, m_fac) -> str:
     )
 
 
-def check_pairs(directory):
-    """Write the seeded ``verify --check`` pairs into ``directory``, and
-    yield each pair's name and its ``verify`` options."""
+def check_pairs():
+    """Write the seeded ``verify --check`` pairs into the working directory,
+    and yield each pair's name and its ``verify`` options."""
     for m, n in (12, 6), (64, 32):
         rng = np.random.default_rng(m)
         a = complex_normal(rng, m, n)
@@ -141,13 +143,11 @@ def check_pairs(directory):
             "s": matmul(a, complex_normal(rng, n, n)),
             "m": matmul(conj_transpose(g), g) / m + 0.5 * np.eye(m),
         }
-        path = {}
         for key, mat in mats.items():
-            path[key] = os.path.join(directory, f"{key}{m}.mat")
-            save_matrix(path[key], mat)
-        yield f"strict-{m}", ["--a", path["a"], "--b", path["b"]]
-        yield f"same-span-{m}", ["--a", path["a"], "--b", path["s"]]
-        yield f"weighted-{m}", ["--a", path["a"], "--b", path["b"], "--m", path["m"]]
+            save_matrix(f"{key}{m}.mat", mat)
+        yield f"strict-{m}", ["--a", f"a{m}.mat", "--b", f"b{m}.mat"]
+        yield f"same-span-{m}", ["--a", f"a{m}.mat", "--b", f"s{m}.mat"]
+        yield f"weighted-{m}", ["--a", f"a{m}.mat", "--b", f"b{m}.mat", "--m", f"m{m}.mat"]
 
 
 def _cli(argv):
@@ -158,32 +158,30 @@ def _cli(argv):
     return code, out.getvalue()
 
 
-def check_lines():
-    with tempfile.TemporaryDirectory() as tmp:
-        lines = []
-        for name, options in check_pairs(tmp):
-            code, out = _cli(["verify", *options, "--check", "--json"])
-            record = out.removesuffix("\n") if code == 0 else f"exit {code}"
-            lines.append(f"check:{name} {record}")
-        return lines
-
-
-def fuzzfail_lines():
+def cli_lines():
+    """The ``check:`` lines and the ``fuzzfail:`` block."""
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
+            lines = []
+            for name, options in check_pairs():
+                code, out = _cli(["verify", *options, "--check", "--json"])
+                if code != 0:
+                    raise SystemExit(f"check:{name}: verify --check exited {code}")
+                record = out.removesuffix("\n")
+                lines.append(f"check:{name} {record}")
             code, out = _cli(["fuzz", "--trials", "30", "--seed", str(FUZZ_SEED), "--tol", "1e-17"])
         finally:
             os.chdir(cwd)
-    return [f"fuzzfail:stdout {line}" for line in out.splitlines()] + [f"fuzzfail:exit {code}"]
+    return lines + [f"fuzzfail:stdout {line}" for line in out.splitlines()] + [f"fuzzfail:exit {code}"]
 
 
 def ledger(trials: int = FUZZ_TRIALS) -> str:
     """The ledger text, with ``trials`` trials of each fuzz ensemble."""
     sources = (fuzz_instances(trials), readme_pairs(), tall_pairs(), defect_pairs())
     verdicts = (entry(*inst) for source in sources for inst in source)
-    lines = itertools.chain(verdicts, check_lines(), fuzzfail_lines())
+    lines = itertools.chain(verdicts, cli_lines())
     return "".join(line + "\n" for line in lines)
 
 

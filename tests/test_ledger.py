@@ -1,6 +1,7 @@
 """The digit ledger (mutation/ledger.py) is deterministic."""
 
 import importlib.util
+import json
 import os
 import pathlib
 import subprocess
@@ -51,10 +52,29 @@ def test_ledger_prints_the_same_text_twice(ledger, first, tmp_path, monkeypatch)
     assert len(stdout) == 6 + 2 * violations
 
 
-def test_check_line_is_the_console_record(ledger, first, tmp_path):
+def test_check_lines_are_records(first):
+    # after its prefix, each of the six check: lines is a JSON record
+    checks = [ln.split(" ", 1) for ln in first.splitlines() if ln.startswith("check:")]
+    assert len(checks) == 6
+    for _, record in checks:
+        assert isinstance(json.loads(record), dict)
+
+
+def test_a_failing_check_stops_the_ledger(ledger, tmp_path, monkeypatch):
+    # a verify --check that exits nonzero (an OracleError exits 3) is a
+    # fault, never a ledger line
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(ledger.cli, "run", lambda argv: 3)
+    with pytest.raises(SystemExit, match="check:strict-12: verify --check exited 3"):
+        ledger.cli_lines()
+    assert os.getcwd() == str(tmp_path)
+
+
+def test_check_line_is_the_console_record(ledger, first, tmp_path, monkeypatch):
     # the ledger's check:strict-12 line, after its prefix, is the stdout of
     # the console command on the same files, under -W error
-    name, options = next(ledger.check_pairs(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    name, options = next(ledger.check_pairs())
     assert name == "strict-12"
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-m", "detcs", "verify", *options, "--check", "--json"],
