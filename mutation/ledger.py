@@ -7,10 +7,11 @@ Run from the root of a checkout, with no options:
 It prints one line per instance: the source id, the case tag, the logs of
 both sides (``zero`` for a zero side), the relative gap, the correlation
 (``none`` when it is undefined) and ``ok``.  An instance whose verdict
-raises a ``DetcsError`` prints the exception's class and message in place
-of the sides; any other exception, or a warning under ``-W error``, stops
-the ledger.  Two trees whose ledgers are the same bytes give the same
-verdicts, to the last digit, on every instance of the corpus:
+raises a ``DetcsError`` prints its pass's case tag, then the exception's
+class and message in place of the sides; any other exception, or a
+warning under ``-W error``, stops the ledger.  Two trees whose ledgers are
+the same bytes give the same verdicts, to the last digit, on every
+instance of the corpus:
 
 - trials 0-1,999 of each fuzz ensemble at seed 7, at the default sizes and
   tolerance.  A trial's instance does not depend on the trial count, so
@@ -49,8 +50,8 @@ import tempfile
 import numpy as np
 
 from detcs import (
+    EQUALITY_TOL,
     DetcsError,
-    classify_case,
     cholesky_hpd,
     cli,
     conj_transpose,
@@ -58,7 +59,7 @@ from detcs import (
     verify_inequality,
 )
 from detcs.fuzz import complex_normal, draw_instance, trial_rng
-from detcs.inequality import ENSEMBLES
+from detcs.inequality import ENSEMBLES, _verdict
 from detcs.matrixio import save_matrix
 
 FUZZ_SEED = 7
@@ -122,7 +123,7 @@ def entry(source, a, b, m_fac) -> str:
     try:
         r = verify_inequality(a, b, m_fac)
     except DetcsError as exc:
-        return f"{source} {classify_case(a, b, m_fac).value} {type(exc).__name__}: {exc}"
+        return f"{source} {_verdict(a, b, m_fac, EQUALITY_TOL).tag.value} {type(exc).__name__}: {exc}"
     corr = "none" if r.correlation is None else repr(r.correlation)
     return (
         f"{source} {r.case_tag.value} lhs={_log(r.lhs_log)} rhs={_log(r.rhs_log)} "

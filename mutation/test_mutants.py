@@ -63,7 +63,7 @@ MUTANTS = (
         "inequality.py",
         "return raw if raw < 1.0 else 1.0",
         "return raw",
-        "tests/test_inequality.py::test_det_correlation_is_exactly_one_when_rounding_lands_above",
+        "tests/test_inequality.py::test_correlation_is_exactly_one_when_rounding_lands_above",
     ),
     Mutant(
         "inequality.py",
@@ -82,6 +82,12 @@ MUTANTS = (
         'f"case {v.tag.value}: log slack',
         'f"log slack',
         "tests/test_inequality.py::test_verify_absurd_tolerance_raises_on_positive_roundoff",
+    ),
+    Mutant(
+        "inequality.py",
+        'f"case {tag.value}: |det(Qa*Qb)|',
+        'f"|det(Qa*Qb)|',
+        "tests/test_inequality.py::test_correlation_past_unit_slack_raises",
     ),
     # the thresholds of the kernels and the oracles
     Mutant(
@@ -249,12 +255,6 @@ MUTANTS = (
         "if not math.isfinite(scale):",
         "if False:",
         "tests/test_linalg.py::test_log_det_rejects_nonfinite",
-    ),
-    Mutant(
-        "inequality.py",
-        "if v.z is None:",
-        "if False:",
-        "tests/test_inequality.py::test_det_correlation_regime_and_rank_errors",
     ),
     Mutant(
         "linalg.py",

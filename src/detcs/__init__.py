@@ -1,11 +1,13 @@
 """Determinantal Cauchy-Schwarz: |det(A*MB)|^2 <= det(A*MA) det(B*MB).
 
-The package verifies the bound, classifies every equality/strictness regime,
-and exposes the determinantal correlation |det(Qa*Qb)| between column
-spaces that controls the gap.  This module exports that verdict API and
-nothing else.  Every other module is imported by name: seeded fuzzing from
-``detcs.fuzz``, matrix files from ``detcs.matrixio``, and the brute-force
-reference routes and principal-angle diagnostics from ``detcs.oracles``.
+One entry, ``verify_inequality``, verifies the bound for an (A, B, M)
+instance and returns a ``CsReport``: the equality/strictness regime it
+falls in, both sides, and the determinantal correlation |det(Qa*Qb)|
+between column spaces that controls the gap.  This module exports that
+verdict API and nothing else.  Every other module is imported by name:
+seeded fuzzing from ``detcs.fuzz``, matrix files from ``detcs.matrixio``,
+and the brute-force reference routes and principal-angle diagnostics from
+``detcs.oracles``.
 """
 
 from .errors import (
@@ -21,8 +23,6 @@ from .inequality import (
     EQUALITY_TOL,
     CaseTag,
     CsReport,
-    classify_case,
-    det_correlation,
     verify_inequality,
     whitened_pair,
 )
@@ -46,8 +46,6 @@ __all__ = [
     "EQUALITY_TOL",
     "CaseTag",
     "CsReport",
-    "classify_case",
-    "det_correlation",
     "verify_inequality",
     "whitened_pair",
     "HpdFactor",

@@ -6,9 +6,9 @@ class DetcsError(Exception):
 
 
 class WrongRegime(DetcsError):
-    """An operation defined only for strictly tall matrices (m > n), or for
-    the full-rank tall regimes, was called outside them.  A correlation
-    refused here names the regime the verdict decided."""
+    """A principal-angle diagnostic of ``detcs.oracles``
+    (``principal_angle_cosines``, ``column_norm_profile``), defined only for
+    strictly tall bases (m > n), was given bases with m <= n."""
 
 
 class NotHermitian(DetcsError):

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InequalityViolation, WrongRegime
+from .errors import InequalityViolation
 from .linalg import (
     UNIT_SLACK,
     ColumnFactors,
@@ -151,12 +151,12 @@ def _spans_match(z: np.ndarray, n: int, tol: float) -> bool:
     return float(column_squares(z[n:]).sum()) <= 0.5 * tol
 
 
-def _correlation(overlap: np.ndarray) -> float:
+def _correlation(overlap: np.ndarray, tag: CaseTag) -> float:
     """|det(Qa*Qb)|, checked against 1 before clamping."""
     raw = log_det(overlap).magnitude()
     if raw > 1.0 + UNIT_SLACK:
         raise InequalityViolation(
-            f"|det(Qa*Qb)| = {raw!r} exceeds 1 + {UNIT_SLACK:g}"
+            f"case {tag.value}: |det(Qa*Qb)| = {raw!r} exceeds 1 + {UNIT_SLACK:g}"
         )
     return raw if raw < 1.0 else 1.0
 
@@ -219,51 +219,28 @@ def _verdict(a, b, m_fac: HpdFactor | None, tol: float) -> _Verdict:
     return _Verdict(tag, tol, a, b, fa, fb, qb, z)
 
 
-def det_correlation(a, b, m_fac: HpdFactor | None = None) -> float:
-    """|det(Qa*Qb)| for orthonormal bases of the (whitened) inputs, in [0, 1].
-
-    This is the product of the cosines of the principal angles between the
-    two column spaces: 1 exactly when the spans coincide, 0 when some
-    direction of one span is orthogonal to all of the other.  The raw value
-    is checked against 1 before clamping, so a value past 1 + ``UNIT_SLACK``
-    raises instead of being silently pulled back.  A pair outside the two
-    full-rank tall regimes raises WrongRegime, naming its regime.
-    """
-    v = _verdict(a, b, m_fac, EQUALITY_TOL)
-    m, n = v.a.shape
-    if v.z is None:
-        raise WrongRegime(
-            "correlation is defined only for full-rank tall pairs; "
-            f"this {m} x {n} pair is {v.tag.value}"
-        )
-    return _correlation(v.z[:n])
-
-
-def classify_case(a, b, m_fac: HpdFactor | None = None, tol: float = EQUALITY_TOL) -> CaseTag:
-    """Decide the regime of an (A, B, M) instance.
-
-    Shape settles the wide and square regimes; for tall instances the
-    (whitened) pair is factored once, rank-tested, then span-compared:
-    the spans match when the sum of squared principal sines is at most
-    tol / 2, as in verify_inequality with the same tol.
-    """
-    return _verdict(a, b, m_fac, tol).tag
-
-
 def verify_inequality(
     a,
     b,
     m_fac: HpdFactor | None = None,
     tol: float = EQUALITY_TOL,
 ) -> CsReport:
-    """Compute both sides of the inequality in log domain and certify them.
+    """Classify an (A, B, M) instance, compute both sides of the inequality
+    in log domain, and certify them: the package's one verdict entry.
 
-    The right side comes from the pivot norms |r_kk| of each operand's QR,
-    the left side from LU of A*B: two independent routes, so A*A and B*B are
-    never formed.  Raises InequalityViolation if the left side exceeds the
-    right beyond log(1 + tol), or if an equality regime's gap exceeds tol
-    (``enforce_equality_contract``): a breach means a kernel bug or a tol
-    below roundoff, not a counterexample.  The span test spends half of
+    Shape settles the wide and square regimes; a tall (whitened) pair is
+    factored once, rank-tested, then span-compared.  The right side comes
+    from the pivot norms |r_kk| of each operand's QR, the left side from LU
+    of A*B: two independent routes, so A*A and B*B are never formed.  For
+    the two full-rank tall regimes the report carries the correlation
+    |det(Qa*Qb)| in [0, 1], the product of the principal-angle cosines,
+    checked against 1 + ``UNIT_SLACK`` before clamping; elsewhere it is None.
+
+    Raises InequalityViolation if the left side exceeds the right beyond
+    log(1 + tol), if an equality regime's gap exceeds tol
+    (``enforce_equality_contract``), or if the correlation exceeds 1: a
+    breach means a kernel bug or a tol below roundoff, not a counterexample,
+    and its message starts ``case <tag>: ``.  The span test spends half of
     tol, so a FullRankSameSpan verdict carries an exact gap of at most tol / 2.
     """
     return _report(_verdict(a, b, m_fac, tol))
@@ -285,7 +262,7 @@ def _report(v: _Verdict) -> CsReport:
         lhs = SignedLogDet(1.0 + 0j, 2.0 * log_det(matmul(conj_transpose(v.a), v.b)).log_magnitude)
         rhs = SignedLogDet(1.0 + 0j, _gram_log_det(v.fa) + _gram_log_det(v.fb))
         if v.tag is not CaseTag.SQUARE_EQUAL:
-            correlation = _correlation(v.z[:n])
+            correlation = _correlation(v.z[:n], v.tag)
         # an LU that finds A*B singular gives slack -inf here, so gap 1
         slack = lhs.log_magnitude - rhs.log_magnitude
         if slack > math.log1p(tol):

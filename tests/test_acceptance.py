@@ -16,7 +16,6 @@ import numpy as np
 from detcs import (
     CaseTag,
     conj_transpose,
-    det_correlation,
     log_det,
     matmul,
     verify_inequality,
@@ -199,7 +198,7 @@ def test_determinant_and_angle_oracles_agree():
         m = int(rng.integers(n + 1, 13))
         a = complex_normal(rng, m, n)
         b = complex_normal(rng, m, n)
-        corr = det_correlation(a, b)
+        corr = verify_inequality(a, b).correlation
         qa = SubspaceBasis(factor_columns(a).basis())
         qb = SubspaceBasis(factor_columns(b).basis())
         product = math.prod(principal_angle_cosines(qa, qb))

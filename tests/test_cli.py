@@ -251,8 +251,8 @@ def tall_files(tmp_path):
 
 
 def test_front_ends_agree(tall_files, capsys):
-    # verify, classify_case and det_correlation read one pass over the
-    # instance, so the regime and the correlation are the same bytes
+    # the command line and the library read one pass over the instance, so
+    # the regime and the correlation are the same bytes
     a = load_matrix(tall_files["a"])
     m_fac = detcs.cholesky_hpd(load_matrix(tall_files["m"]))
     for other, tag in [("strict", "FullRankStrict"), ("span", "FullRankSameSpan")]:
@@ -260,8 +260,9 @@ def test_front_ends_agree(tall_files, capsys):
         for weight, fac in ([], None), (["--m", tall_files["m"]], m_fac):
             assert run(["verify", "--a", tall_files["a"], "--b", tall_files[other], *weight]) == 0
             out = capsys.readouterr().out.splitlines()
-            assert out[0] == f"case: {detcs.classify_case(a, b, fac).value}" == f"case: {tag}"
-            assert f"correlation: {detcs.det_correlation(a, b, fac)!r}" in out
+            report = detcs.verify_inequality(a, b, fac)
+            assert out[0] == f"case: {report.case_tag.value}" == f"case: {tag}"
+            assert f"correlation: {report.correlation!r}" in out
 
 
 def test_check_whitens_and_factors_once(tall_files, count_calls, capsys):
@@ -917,7 +918,7 @@ def test_fuzz_help_lists_the_ensembles(capsys):
 
 
 def test_every_export_resolves():
-    assert len(set(detcs.__all__)) == len(detcs.__all__) == 20
+    assert len(set(detcs.__all__)) == len(detcs.__all__) == 18
     for name in detcs.__all__:
         assert hasattr(detcs, name), name
     # the reference routes are reached only through detcs.oracles

@@ -4,7 +4,7 @@ violation path under an impossible tolerance."""
 import numpy as np
 import pytest
 
-from detcs import CaseTag, classify_case, conj_transpose, matmul
+from detcs import CaseTag, conj_transpose, matmul, verify_inequality
 from detcs.fuzz import (
     ENSEMBLES,
     FuzzConfig,
@@ -118,7 +118,7 @@ def test_shared_span_draw_shares_span():
         inst = draw_instance("shared_span", trial_rng(8, "shared_span", t), 8, 8)
         m, n = inst.a.shape
         assert m >= n
-        tag = classify_case(inst.a, inst.b)
+        tag = verify_inequality(inst.a, inst.b).case_tag
         assert tag in (CaseTag.SQUARE_EQUAL, CaseTag.FULL_RANK_SAME_SPAN)
 
 

@@ -20,9 +20,7 @@ from detcs import (
     SignedLogDet,
     WrongRegime,
     cholesky_hpd,
-    classify_case,
     conj_transpose,
-    det_correlation,
     matmul,
     verify_inequality,
     whitened_pair,
@@ -129,8 +127,6 @@ def test_weighted_verdict_reads_the_whitened_pair(tmp_path, count_calls):
     # the weight must still fit the operands
     with pytest.raises(ValueError):
         verify_inequality(a, b, hpd(rng, 4))
-    with pytest.raises(ValueError):
-        classify_case(a, b, hpd(rng, 4))
 
 
 def test_whitened_pair_weight_shape_mismatch():
@@ -147,7 +143,7 @@ def test_a_raw_weight_matrix_names_cholesky_hpd():
     # call, not with an AttributeError from inside the whitening
     rng = np.random.default_rng(44)
     a, b = complex_normal(rng, 3, 2), complex_normal(rng, 3, 2)
-    for entry in (verify_inequality, classify_case, det_correlation, whitened_pair):
+    for entry in (verify_inequality, whitened_pair):
         with pytest.raises(TypeError, match=r"cholesky_hpd\(M\), not as ndarray"):
             entry(a, b, np.eye(3))
 
@@ -171,15 +167,15 @@ def test_whitening_reduction_reports_identical():
         assert weighted.correlation == plain.correlation
 
 
-def test_det_correlation_identical_spans():
+def test_correlation_identical_spans():
     rng = np.random.default_rng(44)
     a = complex_normal(rng, 4, 2)
-    assert abs(det_correlation(a, a) - 1.0) <= 1e-10
+    assert abs(verify_inequality(a, a).correlation - 1.0) <= 1e-10
 
 
-def test_det_correlation_is_exactly_one_when_rounding_lands_above():
+def test_correlation_is_exactly_one_when_rounding_lands_above():
     # |det(Qa*Qa)| computed from a draw's own factors can round a few ulps
-    # above 1; det_correlation clamps such a raw value to 1.0 exactly
+    # above 1; the report clamps such a raw value to 1.0 exactly
     for seed in range(200):
         a = complex_normal(np.random.default_rng(seed), 12, 6)
         v = inequality._verdict(a, a, None, EQUALITY_TOL)
@@ -187,36 +183,36 @@ def test_det_correlation_is_exactly_one_when_rounding_lands_above():
             break
     else:
         pytest.fail("no seeded draw rounds above 1")
-    assert det_correlation(a, a) == 1.0
+    assert verify_inequality(a, a).correlation == 1.0
 
 
-def test_det_correlation_orthogonal_spans():
+def test_correlation_orthogonal_spans():
     a = np.eye(4, 2, dtype=complex)
     b = np.zeros((4, 2), dtype=complex)
     b[2, 0] = 1.0
     b[3, 1] = 1.0
-    assert det_correlation(a, b) == 0.0
+    assert verify_inequality(a, b).correlation == 0.0
 
 
-def test_det_correlation_half_tilted_plane():
+def test_correlation_half_tilted_plane():
     a = np.eye(3, 2, dtype=complex)
     b = np.zeros((3, 2), dtype=complex)
     b[0, 0] = 1.0
     b[1, 1] = b[2, 1] = 1.0 / np.sqrt(2.0)
-    assert abs(det_correlation(a, b) - 1.0 / np.sqrt(2.0)) <= 1e-12
+    assert abs(verify_inequality(a, b).correlation - 1.0 / np.sqrt(2.0)) <= 1e-12
 
 
-def test_det_correlation_shared_span_scaling():
+def test_correlation_shared_span_scaling():
     rng = np.random.default_rng(45)
     for _ in range(20):
         n = int(rng.integers(1, 5))
         m = n + int(rng.integers(1, 5))
         a = complex_normal(rng, m, n)
         b = matmul(a, complex_normal(rng, n, n))
-        assert abs(det_correlation(a, b) - 1.0) <= 1e-10
+        assert abs(verify_inequality(a, b).correlation - 1.0) <= 1e-10
 
 
-def test_det_correlation_unitary_invariance():
+def test_correlation_unitary_invariance():
     rng = np.random.default_rng(46)
     for _ in range(10):
         n = int(rng.integers(1, 5))
@@ -224,34 +220,9 @@ def test_det_correlation_unitary_invariance():
         a = complex_normal(rng, m, n)
         b = complex_normal(rng, m, n)
         p = factor_columns(complex_normal(rng, m, m)).basis()
-        base = det_correlation(a, b)
-        rotated = det_correlation(matmul(p, a), matmul(p, b))
+        base = verify_inequality(a, b).correlation
+        rotated = verify_inequality(matmul(p, a), matmul(p, b)).correlation
         assert abs(base - rotated) <= 1e-10
-
-
-def test_det_correlation_regime_and_rank_errors():
-    # every pair without a correlation raises WrongRegime naming its regime
-    rng = np.random.default_rng(47)
-    square = complex_normal(rng, 3, 3)
-    deficient = matmul(complex_normal(rng, 5, 1), complex_normal(rng, 1, 2))
-    wide = complex_normal(rng, 2, 3)
-    for a, b, tag in (
-        (square, square, "3 x 3 pair is SquareEqual"),
-        (deficient, complex_normal(rng, 5, 2), "5 x 2 pair is RankDeficientZero"),
-        (wide, wide, "2 x 3 pair is WideEqualZero"),
-    ):
-        with pytest.raises(WrongRegime, match=f"full-rank tall pairs; this {tag}$"):
-            det_correlation(a, b)
-
-
-def test_det_correlation_validates_each_operand_once(count_calls):
-    calls = count_calls(inequality, "as_matrix")
-    rng = np.random.default_rng(48)
-    a, b = complex_normal(rng, 12, 6), complex_normal(rng, 12, 6)
-    for weight in (None, hpd(rng, 12)):
-        calls.clear()
-        det_correlation(a, b, weight)
-        assert calls == {"as_matrix": 2}
 
 
 def test_column_norm_profile_identical():
@@ -292,7 +263,7 @@ def test_classify_shared_span():
     rng = np.random.default_rng(52)
     a = complex_normal(rng, 5, 3)
     c = complex_normal(rng, 3, 3)
-    assert classify_case(a, matmul(a, c)) is CaseTag.FULL_RANK_SAME_SPAN
+    assert verify_inequality(a, matmul(a, c)).case_tag is CaseTag.FULL_RANK_SAME_SPAN
 
 
 def test_classify_distinct_axes():
@@ -300,46 +271,45 @@ def test_classify_distinct_axes():
     b = np.zeros((3, 2), dtype=complex)
     b[0, 0] = 1.0
     b[2, 1] = 1.0
-    assert classify_case(a, b) is CaseTag.FULL_RANK_STRICT
+    assert verify_inequality(a, b).case_tag is CaseTag.FULL_RANK_STRICT
 
 
 def test_classify_absorbs_tiny_perturbation():
     rng = np.random.default_rng(53)
     a = complex_normal(rng, 5, 3)
     b = a + 1e-14 * complex_normal(rng, 5, 3)
-    assert classify_case(a, b) is CaseTag.FULL_RANK_SAME_SPAN
+    assert verify_inequality(a, b).case_tag is CaseTag.FULL_RANK_SAME_SPAN
 
 
 def test_classify_edge_inputs_and_bad_tol():
     rng = np.random.default_rng(54)
     deficient = matmul(complex_normal(rng, 5, 1), complex_normal(rng, 1, 2))
-    assert classify_case(deficient, complex_normal(rng, 5, 2)) is CaseTag.RANK_DEFICIENT_ZERO
+    report = verify_inequality(deficient, complex_normal(rng, 5, 2))
+    assert report.case_tag is CaseTag.RANK_DEFICIENT_ZERO
     wide = np.zeros((2, 3), dtype=complex)
-    assert classify_case(wide, wide) is CaseTag.WIDE_EQUAL_ZERO
+    assert verify_inequality(wide, wide).case_tag is CaseTag.WIDE_EQUAL_ZERO
     square = complex_normal(rng, 3, 3)
     tall = complex_normal(rng, 4, 2)
     # a tolerance outside (0, 1) is refused before the shape decides
     for a, b in [(wide, wide), (square, square), (tall, tall)]:
         for tol in (0.0, -1.0, float("nan"), float("inf"), 1.0, 20.0):
             with pytest.raises(ValueError):
-                classify_case(a, b, tol=tol)
+                verify_inequality(a, b, tol=tol)
 
 
 def test_classify_all_five_regimes():
     rng = np.random.default_rng(55)
     wide = complex_normal(rng, 2, 3)
-    assert classify_case(wide, complex_normal(rng, 2, 3)) is CaseTag.WIDE_EQUAL_ZERO
+    assert verify_inequality(wide, complex_normal(rng, 2, 3)).case_tag is CaseTag.WIDE_EQUAL_ZERO
     square = complex_normal(rng, 3, 3)
-    assert classify_case(square, complex_normal(rng, 3, 3)) is CaseTag.SQUARE_EQUAL
+    assert verify_inequality(square, complex_normal(rng, 3, 3)).case_tag is CaseTag.SQUARE_EQUAL
     deficient = matmul(complex_normal(rng, 4, 1), complex_normal(rng, 1, 2))
-    assert (
-        classify_case(deficient, complex_normal(rng, 4, 2)) is CaseTag.RANK_DEFICIENT_ZERO
-    )
+    report = verify_inequality(deficient, complex_normal(rng, 4, 2))
+    assert report.case_tag is CaseTag.RANK_DEFICIENT_ZERO
     a = complex_normal(rng, 4, 2)
-    assert (
-        classify_case(a, matmul(a, complex_normal(rng, 2, 2))) is CaseTag.FULL_RANK_SAME_SPAN
-    )
-    assert classify_case(a, complex_normal(rng, 4, 2)) is CaseTag.FULL_RANK_STRICT
+    report = verify_inequality(a, matmul(a, complex_normal(rng, 2, 2)))
+    assert report.case_tag is CaseTag.FULL_RANK_SAME_SPAN
+    assert verify_inequality(a, complex_normal(rng, 4, 2)).case_tag is CaseTag.FULL_RANK_STRICT
 
 
 def test_classify_scaling_covariance():
@@ -350,12 +320,9 @@ def test_classify_scaling_covariance():
         a = complex_normal(rng, m, n)
         b = complex_normal(rng, m, n)
         c = complex_normal(rng, n, n)
-        before = classify_case(a, b)
-        after = classify_case(matmul(a, c), b)
-        assert before is after
-        r_before = verify_inequality(a, b)
-        r_after = verify_inequality(matmul(a, c), b)
-        assert r_before.equality == r_after.equality
+        before = verify_inequality(a, b)
+        after = verify_inequality(matmul(a, c), b)
+        assert before.case_tag is after.case_tag
 
 
 def test_classify_weighted_matches_whitened():
@@ -367,7 +334,7 @@ def test_classify_weighted_matches_whitened():
         b = complex_normal(rng, m, n)
         fac = hpd(rng, m, ridge=1e-3)
         wa, wb = whitened_pair(a, b, fac)
-        assert classify_case(a, b, fac) is classify_case(wa, wb)
+        assert verify_inequality(a, b, fac).case_tag is verify_inequality(wa, wb).case_tag
 
 
 def test_verify_wide_vanishes_structurally():
@@ -419,9 +386,9 @@ def test_verify_strictness_forces_correlation_below_one():
         m = n + int(rng.integers(1, 5))
         a = complex_normal(rng, m, n)
         b = complex_normal(rng, m, n)
-        if classify_case(a, b) is CaseTag.FULL_RANK_SAME_SPAN:
-            continue
         report = verify_inequality(a, b)
+        if report.case_tag is CaseTag.FULL_RANK_SAME_SPAN:
+            continue
         assert report.case_tag is CaseTag.FULL_RANK_STRICT
         assert report.correlation < 1.0 - 1e-12
 
@@ -605,11 +572,14 @@ def test_strict_verdict_factors_each_operand_once(count_calls):
     }
     assert calls == expected
     # a weight adds one triangular whitening of both operands together, one
-    # matmul per 8-row block of W (one at 8 rows), and no second validation
-    calls.clear()
-    report = verify_inequality(complex_normal(rng, 8, 4), complex_normal(rng, 8, 4), hpd(rng, 8))
-    assert report.case_tag is CaseTag.FULL_RANK_STRICT
-    assert calls == dict(expected, _whiten=1, matmul=2)
+    # matmul per 8-row block of W (one at 8 rows, two at 12), and no second
+    # validation
+    for m, n, blocks in (8, 4, 1), (12, 6, 2):
+        a, b, weight = complex_normal(rng, m, n), complex_normal(rng, m, n), hpd(rng, m)
+        calls.clear()
+        report = verify_inequality(a, b, weight)
+        assert report.case_tag is CaseTag.FULL_RANK_STRICT
+        assert calls == dict(expected, _whiten=1, matmul=1 + blocks)
 
 
 def test_square_wide_and_deficient_verdicts_form_no_basis(count_calls):
@@ -631,9 +601,6 @@ def test_square_wide_and_deficient_verdicts_form_no_basis(count_calls):
         assert calls["basis"] == calls["adjoint_apply"] == 0
         assert calls["_householder"] == calls["factor_lanes"] == passes
         assert calls["log_det"] == lu_calls
-        calls.clear()
-        assert classify_case(a, b) is tag
-        assert calls["basis"] == calls["adjoint_apply"] == 0
 
 
 def test_complement_block_gives_sines_and_overlap():
@@ -680,7 +647,6 @@ def test_small_tilt_is_strict_and_verifies(tmp_path):
     a, b = tilted_pair(np.random.default_rng(91), 12, 6, 1e-4)
     report = verify_inequality(a, b)
     assert report.case_tag is CaseTag.FULL_RANK_STRICT
-    assert classify_case(a, b) is CaseTag.FULL_RANK_STRICT
     save_matrix(tmp_path / "a.mat", a)
     save_matrix(tmp_path / "b.mat", b)
     assert run(["verify", "--a", str(tmp_path / "a.mat"), "--b", str(tmp_path / "b.mat")]) == 0
@@ -732,7 +698,7 @@ def test_column_norm_profile_bounds_the_correlation():
             else:
                 a, b = tilted_pair(rng, m, n, 1e-4)
             fac = hpd(rng, m) if weighted else None
-            correlation = det_correlation(a, b, fac)
+            correlation = verify_inequality(a, b, fac).correlation
             if weighted:
                 a, b = whitened_pair(a, b, fac)
             qa, qb = (SubspaceBasis(factor_columns(x).basis()) for x in (a, b))
@@ -742,7 +708,7 @@ def test_column_norm_profile_bounds_the_correlation():
 
 def test_correlation_past_unit_slack_raises(tmp_path, monkeypatch, capsys):
     # an LU that reads |det(Qa*Qb)| as 1 + 1e-9 is past the 1e-10 slack, so
-    # the correlation raises instead of being clamped to 1
+    # the correlation raises, naming the regime, instead of being clamped to 1
     rng = np.random.default_rng(97)
     a = complex_normal(rng, 12, 6)
     b = matmul(a, complex_normal(rng, 6, 6))
@@ -752,10 +718,11 @@ def test_correlation_past_unit_slack_raises(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(
         inequality, "log_det", lambda mat: original(mat)._replace(log_magnitude=math.log1p(1e-9))
     )
-    with pytest.raises(InequalityViolation, match="exceeds 1 \\+ 1e-10"):
-        det_correlation(a, b)
+    message = r"^case FullRankSameSpan: \|det\(Qa\*Qb\)\| = .* exceeds 1 \+ 1e-10$"
+    with pytest.raises(InequalityViolation, match=message):
+        verify_inequality(a, b)
     assert run(["verify", "--a", str(tmp_path / "a.mat"), "--b", str(tmp_path / "b.mat")]) == 3
-    assert "exceeds 1 + 1e-10" in capsys.readouterr().err
+    assert re.match(message, capsys.readouterr().err.removeprefix("invariant violation: "))
 
 
 def test_column_norm_past_unit_slack_raises(monkeypatch):
@@ -784,7 +751,7 @@ def test_ill_conditioned_same_span_verifies(tmp_path):
     v = np.linalg.qr(complex_normal(rng, 6, 6))[0]
     a = (u * np.logspace(0.0, -6.0, 6)) @ v
     b = a @ complex_normal(rng, 6, 6)
-    assert classify_case(a, b) is CaseTag.FULL_RANK_SAME_SPAN
+    assert inequality._verdict(a, b, None, EQUALITY_TOL).tag is CaseTag.FULL_RANK_SAME_SPAN
     save_matrix(tmp_path / "a.mat", a)
     save_matrix(tmp_path / "b.mat", b)
     assert run(["verify", "--a", str(tmp_path / "a.mat"), "--b", str(tmp_path / "b.mat")]) == 0
@@ -799,7 +766,7 @@ def defect_d_files(tmp_path):
     v = np.linalg.qr(complex_normal(rng, 6, 6))[0]
     a = (u * np.logspace(0.0, -8.0, 6)) @ v
     b = a @ complex_normal(rng, 6, 6)
-    assert classify_case(a, b) is CaseTag.FULL_RANK_SAME_SPAN
+    assert inequality._verdict(a, b, None, EQUALITY_TOL).tag is CaseTag.FULL_RANK_SAME_SPAN
     save_matrix(tmp_path / "a.mat", a)
     save_matrix(tmp_path / "b.mat", b)
     return ["verify", "--a", str(tmp_path / "a.mat"), "--b", str(tmp_path / "b.mat")]

@@ -14,7 +14,6 @@ from detcs import (
     SignedLogDet,
     WrongRegime,
     conj_transpose,
-    det_correlation,
     inequality,
     log_det,
     matmul,
@@ -226,7 +225,7 @@ def test_principal_angles_sorted_and_product_matches_correlation():
         cosines = principal_angle_cosines(qa, qb)
         assert type(cosines) is tuple
         assert list(cosines) == sorted(cosines, reverse=True)
-        assert abs(math.prod(cosines) - det_correlation(a, b)) <= 1e-9
+        assert abs(math.prod(cosines) - verify_inequality(a, b).correlation) <= 1e-9
 
 
 def test_principal_angles_read_a_negative_squared_cosine_as_zero():
