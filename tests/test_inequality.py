@@ -225,6 +225,19 @@ def test_correlation_unitary_invariance():
         assert abs(base - rotated) <= 1e-10
 
 
+def test_det_correlation_validates_each_operand_once(count_calls):
+    # the determinant correlation is read off the verdict; forming it
+    # validates each operand once, with or without a weight
+    calls = count_calls(inequality, "as_matrix")
+    rng = np.random.default_rng(48)
+    a, b = complex_normal(rng, 12, 6), complex_normal(rng, 12, 6)
+    for weight in (None, hpd(rng, 12)):
+        calls.clear()
+        correlation = verify_inequality(a, b, weight).correlation
+        assert 0.0 < correlation < 1.0
+        assert calls == {"as_matrix": 2}
+
+
 def test_column_norm_profile_identical():
     rng = np.random.default_rng(50)
     u = SubspaceBasis(factor_columns(complex_normal(rng, 6, 3)).basis())
