@@ -311,6 +311,12 @@ MUTANTS = (
         "tests/test_oracles.py::test_a_raw_basis_names_subspace_basis",
     ),
     Mutant(
+        "oracles.py",
+        "if m <= n:",
+        "if False:",
+        "tests/test_oracles.py::test_principal_angles_regime_and_shape_errors",
+    ),
+    Mutant(
         "matrixio.py",
         'if "_" in stripped:  # int()',
         "if False:  # int()",
@@ -400,6 +406,12 @@ MUTANTS = (
         "math.sqrt(e) if e > 0.0 else 0.0",
         "math.sqrt(e)",
         "tests/test_oracles.py::test_principal_angles_read_a_negative_squared_cosine_as_zero",
+    ),
+    Mutant(
+        "oracles.py",
+        "if over.any():",
+        "if False:",
+        "tests/test_inequality.py::test_column_norm_past_unit_slack_raises",
     ),
     Mutant(
         "oracles.py",

@@ -17,7 +17,6 @@ from .errors import (
     NotHermitian,
     NotPositiveDefinite,
     OracleError,
-    WrongRegime,
 )
 from .inequality import (
     EQUALITY_TOL,
@@ -42,7 +41,6 @@ __all__ = [
     "NotHermitian",
     "NotPositiveDefinite",
     "OracleError",
-    "WrongRegime",
     "EQUALITY_TOL",
     "CaseTag",
     "CsReport",

@@ -1,14 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each ``DetcsError`` subclass is raised by exactly one module:
+``InequalityViolation`` by ``detcs.inequality``, ``OracleError`` by
+``detcs.oracles``, ``NotHermitian`` and ``NotPositiveDefinite`` by
+``detcs.linalg``, and ``MatrixParseError`` by ``detcs.matrixio``.
+"""
 
 
 class DetcsError(Exception):
     """Base class for all package-specific errors."""
-
-
-class WrongRegime(DetcsError):
-    """A principal-angle diagnostic of ``detcs.oracles``
-    (``principal_angle_cosines``, ``column_norm_profile``), defined only for
-    strictly tall bases (m > n), was given bases with m <= n."""
 
 
 class NotHermitian(DetcsError):
@@ -20,14 +20,15 @@ class NotPositiveDefinite(DetcsError):
 
 
 class InequalityViolation(DetcsError):
-    """A proved bound failed numerically.  This signals a kernel bug (or a
-    tolerance far tighter than roundoff), never a failure of the math."""
+    """A verdict broke a proved bound or its equality contract.  This signals
+    a kernel bug (or a tolerance far tighter than roundoff), never a failure
+    of the math."""
 
 
 class OracleError(DetcsError):
     """A brute-force reference computation failed an internal guarantee or
     disagreed with the verdict path: a kernel bug.  An input an oracle refuses
-    raises ValueError, TypeError, WrongRegime or NotHermitian instead."""
+    raises ValueError, TypeError or NotHermitian instead."""
 
 
 class MatrixParseError(DetcsError):

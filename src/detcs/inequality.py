@@ -240,7 +240,7 @@ def verify_inequality(
     log(1 + tol), if an equality regime's gap exceeds tol
     (``enforce_equality_contract``), or if the correlation exceeds 1: a
     breach means a kernel bug or a tol below roundoff, not a counterexample,
-    and its message starts ``case <tag>: ``.  The span test spends half of
+    and its message starts ``case <tag>``.  The span test spends half of
     tol, so a FullRankSameSpan verdict carries an exact gap of at most tol / 2.
     """
     return _report(_verdict(a, b, m_fac, tol))

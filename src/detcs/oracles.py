@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InequalityViolation, OracleError, WrongRegime
+from .errors import OracleError
 from .linalg import (
     UNIT_SLACK,
     ColumnFactors,
@@ -163,7 +163,7 @@ def _overlap(u: SubspaceBasis, v: SubspaceBasis) -> np.ndarray:
         raise ValueError(f"bases must share a shape, got {u.shape} and {v.shape}")
     m, n = u.shape
     if m <= n:
-        raise WrongRegime(f"principal angles are defined only for m > n, got {m} x {n}")
+        raise ValueError(f"principal angles are defined only for m > n, got {m} x {n}")
     return matmul(conj_transpose(u.ortho), v.ortho)
 
 
@@ -185,13 +185,13 @@ def column_norm_profile(u: SubspaceBasis, v: SubspaceBasis) -> list[float]:
     """Euclidean norms of the columns of U*V for two orthonormal bases.
 
     Each column of U*V is a coordinate shadow of a unit vector, so every norm
-    is at most 1; an excess past the ``UNIT_SLACK`` slack raises.
+    is at most 1; an excess past the ``UNIT_SLACK`` slack raises OracleError.
     """
     norms = np.sqrt(column_squares(_overlap(u, v)))
     over = norms > 1.0 + UNIT_SLACK
     if over.any():
         j = int(over.argmax())
-        raise InequalityViolation(f"column {j} of U*V has norm {float(norms[j])!r} > 1 + {UNIT_SLACK:g}")
+        raise OracleError(f"column {j} of U*V has norm {float(norms[j])!r} > 1 + {UNIT_SLACK:g}")
     return norms.tolist()
 
 

@@ -1,5 +1,6 @@
 """Command-line behavior: output shape, exit codes, determinism, replay."""
 
+import ast
 import dataclasses
 import errno
 import inspect
@@ -918,7 +919,7 @@ def test_fuzz_help_lists_the_ensembles(capsys):
 
 
 def test_every_export_resolves():
-    assert len(set(detcs.__all__)) == len(detcs.__all__) == 18
+    assert len(set(detcs.__all__)) == len(detcs.__all__) == 17
     for name in detcs.__all__:
         assert hasattr(detcs, name), name
     # the reference routes are reached only through detcs.oracles
@@ -931,6 +932,26 @@ def test_every_export_resolves():
     assert not defined & set(detcs.__all__)
     for name in ORACLE_NAMES:
         assert callable(getattr(oracles, name)), name
+
+
+def test_each_error_type_is_raised_by_one_module():
+    # an exit code names one layer, so each error type has one home
+    homes = {
+        "InequalityViolation": {"inequality.py"},
+        "OracleError": {"oracles.py"},
+        "NotHermitian": {"linalg.py"},
+        "NotPositiveDefinite": {"linalg.py"},
+        "MatrixParseError": {"matrixio.py"},
+    }
+    assert {cls.__name__ for cls in detcs.DetcsError.__subclasses__()} == set(homes)
+    raised = {name: set() for name in homes}
+    for path in pathlib.Path(detcs.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id in raised:
+                    raised[exc.id].add(path.name)
+    assert raised == homes
 
 
 def test_kernels_take_no_threshold():

@@ -17,8 +17,8 @@ from detcs import (
     EQUALITY_TOL,
     CsReport,
     InequalityViolation,
+    OracleError,
     SignedLogDet,
-    WrongRegime,
     cholesky_hpd,
     conj_transpose,
     matmul,
@@ -40,7 +40,8 @@ def hpd(rng, m, ridge=1.0):
 
 
 def weighted_gram(a, b, fac):
-    """A*MB as (WA)*(WB) from the whitened pair, as ``verify --check`` forms it."""
+    """A*MB as (WA)*(WB) from the whitened pair, the product whose LU gives
+    the verdict's left side."""
     wa, wb = whitened_pair(a, b, fac)
     return matmul(conj_transpose(wa), wb)
 
@@ -268,7 +269,7 @@ def test_column_norm_profile_errors():
     with pytest.raises(ValueError):
         column_norm_profile(u, v)
     square = SubspaceBasis(factor_columns(complex_normal(rng, 3, 3)).basis())
-    with pytest.raises(WrongRegime):
+    with pytest.raises(ValueError, match="principal angles are defined only for m > n, got 3 x 3"):
         column_norm_profile(square, square)
 
 
@@ -747,7 +748,7 @@ def test_column_norm_past_unit_slack_raises(monkeypatch):
     qa, qb = (SubspaceBasis(factor_columns(x).basis()) for x in (a, b))
     original = oracles.column_squares
     monkeypatch.setattr(oracles, "column_squares", lambda x: original(x) * (1.0 + 1e-8))
-    with pytest.raises(InequalityViolation, match="column 0 of U\\*V has norm"):
+    with pytest.raises(OracleError, match="column 0 of U\\*V has norm"):
         column_norm_profile(qa, qb)
 
 
@@ -757,17 +758,21 @@ def test_column_norm_past_unit_slack_raises(monkeypatch):
     "left side is off by far more than the equality tolerance",
 )
 def test_ill_conditioned_same_span_verifies(tmp_path):
-    # B = AC with sigma_min / sigma_max of A at 1e-6: FullRankSameSpan, yet
-    # verify exits 3 because the left side exceeds the right by ~4e-5 in log
-    rng = np.random.default_rng(94)
-    u = np.linalg.qr(complex_normal(rng, 12, 12))[0][:, :6]
-    v = np.linalg.qr(complex_normal(rng, 6, 6))[0]
-    a = (u * np.logspace(0.0, -6.0, 6)) @ v
-    b = a @ complex_normal(rng, 6, 6)
-    assert inequality._verdict(a, b, None, EQUALITY_TOL).tag is CaseTag.FULL_RANK_SAME_SPAN
-    save_matrix(tmp_path / "a.mat", a)
-    save_matrix(tmp_path / "b.mat", b)
-    assert run(["verify", "--a", str(tmp_path / "a.mat"), "--b", str(tmp_path / "b.mat")]) == 0
+    # B = AC with sigma_min / sigma_max of A at 1e-6 or 1e-4: FullRankSameSpan,
+    # yet verify exits 3 because the left side exceeds the right, by ~4e-5
+    # and ~6e-9 in log
+    codes = []
+    for low in (-6.0, -4.0):
+        rng = np.random.default_rng(94)
+        u = np.linalg.qr(complex_normal(rng, 12, 12))[0][:, :6]
+        v = np.linalg.qr(complex_normal(rng, 6, 6))[0]
+        a = (u * np.logspace(0.0, low, 6)) @ v
+        b = a @ complex_normal(rng, 6, 6)
+        assert inequality._verdict(a, b, None, EQUALITY_TOL).tag is CaseTag.FULL_RANK_SAME_SPAN
+        save_matrix(tmp_path / "a.mat", a)
+        save_matrix(tmp_path / "b.mat", b)
+        codes.append(run(["verify", "--a", str(tmp_path / "a.mat"), "--b", str(tmp_path / "b.mat")]))
+    assert codes == [0, 0]
 
 
 def defect_d_files(tmp_path):
@@ -836,19 +841,26 @@ def test_ill_conditioned_same_span_has_a_positive_left_side(tmp_path, capsys):
     strict=True,
     reason="the pivoted QR's squared column norms overflow or underflow at "
     "1e±160 and 2^±600, so the rank test reads a scaled strict pair as "
-    "RankDeficientZero and a NaN warning leaks from the Householder step "
+    "RankDeficientZero and a NaN warning leaks from the Householder step; "
+    "a square pair at 2^510 (about 3.4e153) breaks its equality contract "
     "(defect C, ROADMAP item 4)",
 )
 def test_scaled_strict_pair_keeps_its_tag():
     # the regime does not depend on a common scale of A and B, so a 12x6
-    # strict pair keeps its tag however far it is scaled within range
+    # strict pair keeps its tag however far it is scaled within range, and
+    # a 4x4 pair stays SquareEqual
     rng = np.random.default_rng(95)
-    a, b = complex_normal(rng, 12, 6), complex_normal(rng, 12, 6)
-    assert verify_inequality(a, b).case_tag is CaseTag.FULL_RANK_STRICT
+    strict = complex_normal(rng, 12, 6), complex_normal(rng, 12, 6)
+    rng = np.random.default_rng(3)
+    square = complex_normal(rng, 4, 4), complex_normal(rng, 4, 4)
+    inputs = [(strict, s, CaseTag.FULL_RANK_STRICT) for s in (2.0**600, 2.0**-600, 1e160, 1e-160)]
+    inputs.append((square, 2.0**510, CaseTag.SQUARE_EQUAL))
+    for (a, b), _, tag in inputs:
+        assert verify_inequality(a, b).case_tag is tag
     tags = {}
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", RuntimeWarning)
-        for scale in (2.0**600, 2.0**-600, 1e160, 1e-160):
-            tags[scale] = verify_inequality(scale * a, scale * b).case_tag
-    assert tags == dict.fromkeys(tags, CaseTag.FULL_RANK_STRICT)
+        for (a, b), scale, _ in inputs:
+            tags[a.shape, scale] = verify_inequality(scale * a, scale * b).case_tag
+    assert tags == {(a.shape, scale): tag for (a, _), scale, tag in inputs}
     assert not [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
